@@ -1,17 +1,14 @@
 """Command-line pipeline: fuse, eval, augment, synth.
 
 Exit codes: 0 success, 2 file parse error, 3 I/O error, 4 input-contract
-violation. DETFUSE_THREADS caps per-image parallelism (default 1); results
-are independent of the thread count.
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 
 from .augment import AugmentSpec, expand_dataset
 from .errors import ContractError, ParseError
@@ -25,19 +22,7 @@ EXIT_PARSE = 2
 EXIT_IO = 3
 EXIT_CONTRACT = 4
 
-EPILOG = (
-    "exit codes: 0 success, 2 parse error, 3 I/O error, 4 contract violation. "
-    "DETFUSE_THREADS caps parallelism (default 1)."
-)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("DETFUSE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ContractError(f"DETFUSE_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+EPILOG = "exit codes: 0 success, 2 parse error, 3 I/O error, 4 contract violation."
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -55,20 +40,9 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     by_image: dict[str, list[Detection]] = defaultdict(list)
     for d in detections:
         by_image[d.image_id].append(d)
-    image_ids = sorted(by_image)
-
-    def fuse_one(image_id: str):
-        return merge_boxes(by_image[image_id], args.iou_fusion, args.prob_mode)
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fuse_one, image_ids))
-    else:
-        results = [fuse_one(i) for i in image_ids]
-
     fused: list[Detection] = []
-    for image_id, summaries in zip(image_ids, results):
+    for image_id in sorted(by_image):
+        summaries = merge_boxes(by_image[image_id], args.iou_fusion, args.prob_mode)
         print(f"{image_id}: {len(by_image[image_id])} detections -> {len(summaries)} clusters")
         for s in summaries:
             fused.append(Detection(s.box, s.class_id, s.prob, model_id=-1, image_id=image_id))

@@ -4,6 +4,15 @@ Matching is greedy by descending confidence with the strict IoU rule
 (IoU > threshold counts as a localization hit). AP uses block
 interpolation: recall is split into n equal closed blocks and each block
 contributes the maximum of the right-max interpolated precision over it.
+
+Each image is matched in one sweep over its predictions that serves both
+the class-aware rule (AP) and the class-agnostic rule (detection rate).
+IoU rows are computed with numpy for a fixed block of consecutive
+predictions at a time, with the float operations of ``geometry.iou``, so
+the values are the same bits; a block bounds memory on crowded images,
+where a full prediction x ground-truth matrix would not. Ground truths a
+rule can no longer take carry a -inf penalty, so ``argmax`` keeps the
+first-max tie rule.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError
 from .fusion import Detection
-from .geometry import Box, iou
+from .geometry import MIN_NORMAL, Box, area, iou
 
 
 @dataclass(frozen=True)
@@ -71,36 +80,80 @@ class EvaluationReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _greedy_match(preds, gts, iou_threshold, same_class=True):
-    """Match predictions to ground truths, one verdict per prediction.
+# Predictions per IoU block: enough rows to amortize numpy's per-call cost,
+# few enough that a block of a crowded image stays a small fraction of memory.
+_BLOCK = 64
 
-    Predictions are taken in descending confidence (ties: input order); each
-    grabs the unmatched ground truth (same class when ``same_class``) with
-    the highest IoU, provided that IoU strictly exceeds the threshold.
-    Returns (outcomes in input order, gt-matched flags).
+
+def _iou_block(boxes: list[Box], gts: list[GroundTruthRecord], g: np.ndarray) -> np.ndarray:
+    """IoU of each box (rows) with each ground truth (columns).
+
+    ``g`` holds the ground truths' x1, y1, x2, y2 and area as columns. Every
+    entry is geometry.iou(box, gt.box) computed with the same float
+    operations; entries whose union underflows are computed by geometry.iou
+    itself, and an overflowed (NaN) union reads 0, which never matches.
     """
+    p = np.array([b.as_tuple() for b in boxes], dtype=float)
+    px1, py1, px2, py2 = (p[:, k : k + 1] for k in range(4))
+    # huge coordinates overflow to inf and NaN exactly as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.minimum(px2, g[:, 2]) - np.maximum(px1, g[:, 0])
+        ih = np.minimum(py2, g[:, 3]) - np.maximum(py1, g[:, 1])
+        overlap = (iw > 0) & (ih > 0)
+        inter = np.where(overlap, iw * ih, 0.0)
+        union = ((px2 - px1) * (py2 - py1) + g[:, 4]) - inter
+        out = np.divide(inter, union, out=np.zeros_like(inter), where=union >= MIN_NORMAL)
+    for r, c in zip(*np.nonzero(overlap & (union < MIN_NORMAL))):
+        out[r, c] = iou(boxes[r], gts[c].box)
+    return out
+
+
+def _sweep(
+    preds: list, gts: list[GroundTruthRecord], iou_threshold: float
+) -> tuple[list[int], int]:
+    """Greedy matching of one image, class-aware and class-agnostic at once.
+
+    Predictions are taken in descending confidence (ties: input order); under
+    each rule a prediction grabs the available ground truth with the highest
+    IoU (first in input order on ties), provided that IoU is positive and
+    strictly exceeds the threshold. Both rules read the same IoU rows. A
+    ground truth is unavailable when its penalty entry is -inf: under the
+    class-aware rule when it has another class or is matched, under the
+    class-agnostic rule when it is matched.
+
+    Returns the index of the ground truth each prediction matched under the
+    class-aware rule (-1 for none), in input order, and the number of
+    ground truths matched under the class-agnostic rule.
+    """
+    matched_gt = [-1] * len(preds)
+    if not preds or not gts:
+        return matched_gt, 0
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].prob, i))
-    matched = [False] * len(gts)
-    outcomes: list[MatchOutcome | None] = [None] * len(preds)
-    for i in order:
-        p = preds[i]
-        best_j = -1
-        best_iou = 0.0
-        for j, g in enumerate(gts):
-            if matched[j]:
-                continue
-            if same_class and g.class_id != p.class_id:
-                continue
-            v = iou(p.box, g.box)
-            if v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j >= 0 and best_iou > iou_threshold:
-            matched[best_j] = True
-            outcomes[i] = MatchOutcome(p, "TP", gts[best_j])
-        else:
-            outcomes[i] = MatchOutcome(p, "FP")
-    return outcomes, matched
+    g = np.array([(*gt.box.as_tuple(), area(gt.box)) for gt in gts], dtype=float)
+    penalty: dict[int, np.ndarray] = {}
+    for j, gt in enumerate(gts):
+        penalty.setdefault(gt.class_id, np.full(len(gts), -np.inf))[j] = 0.0
+    agnostic = np.zeros(len(gts))
+    agnostic_hits = 0
+    for start in range(0, len(order), _BLOCK):
+        rows = order[start : start + _BLOCK]
+        block = _iou_block([preds[i].box for i in rows], gts, g)
+        for i, row in zip(rows, block):
+            free = penalty.get(preds[i].class_id)
+            if free is not None:
+                scores = row + free
+                j = int(scores.argmax())
+                v = float(scores[j])
+                if v > 0 and v > iou_threshold:
+                    matched_gt[i] = j
+                    free[j] = -np.inf
+            scores = row + agnostic
+            j = int(scores.argmax())
+            v = float(scores[j])
+            if v > 0 and v > iou_threshold:
+                agnostic_hits += 1
+                agnostic[j] = -np.inf
+    return matched_gt, agnostic_hits
 
 
 def match_detections(
@@ -118,8 +171,12 @@ def match_detections(
     image_ids |= {g.image_id for g in gts}
     if len(image_ids) > 1:
         raise ContractError(f"records span multiple images: {sorted(image_ids)}")
-    outcomes, matched = _greedy_match(preds, gts, iou_threshold, same_class=True)
-    fn = sum(1 for m in matched if not m)
+    matched_gt, _ = _sweep(preds, gts, iou_threshold)
+    outcomes = [
+        MatchOutcome(p, "TP", gts[j]) if j >= 0 else MatchOutcome(p, "FP")
+        for p, j in zip(preds, matched_gt)
+    ]
+    fn = len(gts) - sum(1 for j in matched_gt if j >= 0)
     return outcomes, fn
 
 
@@ -159,7 +216,7 @@ def average_precision(
     empty curve yields AP = 0.
     """
     if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+        raise ContractError(f"n_blocks must be >= 1, got {n_blocks}")
     pts = curve.points
     if not pts:
         return APResult(class_id, 0.0, n_blocks, tp, fp, fn)
@@ -200,29 +257,30 @@ def evaluate_dataset(
     Also reports the class-agnostic localization rate: the fraction of
     ground-truth instances matched by any prediction at the IoU threshold.
     """
+    if n_blocks < 1:
+        raise ContractError(f"n_blocks must be >= 1, got {n_blocks}")
     warnings: list[str] = []
-    preds_by_image: dict[str, list[tuple[int, Detection]]] = defaultdict(list)
+    preds_by_image: dict[str, list[int]] = defaultdict(list)
     for idx, d in enumerate(preds):
-        preds_by_image[d.image_id].append((idx, d))
+        preds_by_image[d.image_id].append(idx)
     gts_by_image: dict[str, list[GroundTruthRecord]] = defaultdict(list)
     for g in gts:
         gts_by_image[g.image_id].append(g)
 
-    outcome_of: dict[int, MatchOutcome] = {}
+    is_tp = [False] * len(preds)
     agnostic_hits = 0
     for image_id in sorted(set(preds_by_image) | set(gts_by_image)):
         items = preds_by_image.get(image_id, [])
-        img_gts = gts_by_image.get(image_id, [])
         if items and image_id not in gts_by_image:
             warnings.append(
                 f"image {image_id!r} has predictions but no ground truth; all counted as FP"
             )
-        img_preds = [d for _, d in items]
-        outcomes, _ = match_detections(img_preds, img_gts, iou_threshold)
-        for (idx, _), o in zip(items, outcomes):
-            outcome_of[idx] = o
-        _, matched = _greedy_match(img_preds, img_gts, iou_threshold, same_class=False)
-        agnostic_hits += sum(matched)
+        matched_gt, hits = _sweep(
+            [preds[idx] for idx in items], gts_by_image.get(image_id, []), iou_threshold
+        )
+        for idx, j in zip(items, matched_gt):
+            is_tp[idx] = j >= 0
+        agnostic_hits += hits
 
     gt_counts: dict[int, int] = defaultdict(int)
     for g in gts:
@@ -242,7 +300,7 @@ def evaluate_dataset(
         cum_tp = 0
         cum_fp = 0
         for i in indices:
-            if outcome_of[i].verdict == "TP":
+            if is_tp[i]:
                 cum_tp += 1
             else:
                 cum_fp += 1

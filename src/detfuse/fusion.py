@@ -6,14 +6,25 @@ above the IoU threshold); a detection with no match seeds a new cluster.
 A cluster is summarized by the probability-weighted average of its member
 boxes, the max member probability divided by the cluster size, and the
 shared class.
+
+Clusters are kept in per-class buckets, in creation order, so a detection
+scans only the clusters of its own class and ties still go to the cluster
+created first. Each cluster carries its aggregate as plain floats; the
+summary objects are built once, when clustering ends. After an insertion
+the aggregate is summed afresh over the members with the same ``sum()``
+expressions as ``summarize``, not updated from running totals: ``sum()``
+of floats rounds differently from repeated ``+=`` on Python 3.12 and later
+(it compensates), and the aggregate must equal the direct formula bit for
+bit on every supported Python.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import ContractError, DegenerateWeightsError
-from .geometry import Box, iou
+from .geometry import MIN_NORMAL, Box, iou
 
 # Aggregate probability of a cluster: max member probability divided by the
 # cluster size (the default), or the plain max (for experimentation; the
@@ -68,18 +79,13 @@ class ClusterSummary:
     support: int
 
 
-def summarize(cluster: Cluster, prob_mode: str = PROB_SCALED_MAX) -> ClusterSummary:
-    """Compute the aggregate (box, probability, class) of a cluster.
-
-    The aggregate box is the per-coordinate average of member boxes weighted
-    by member probability; the aggregate probability is the max member
-    probability divided by the cluster size (or the plain max, see
-    ``prob_mode``). Raises DegenerateWeightsError when all member
-    probabilities are zero.
-    """
+def _check_prob_mode(prob_mode: str) -> None:
     if prob_mode not in PROB_MODES:
-        raise ValueError(f"unknown prob_mode {prob_mode!r}")
-    members = cluster.members
+        raise ContractError(f"unknown prob_mode {prob_mode!r}")
+
+
+def _aggregate(members: list[Detection], prob_mode: str) -> tuple[float, ...]:
+    """(x1, y1, x2, y2, prob) of a cluster, each a fresh sum() over its members."""
     total = sum(m.prob for m in members)
     if total <= 0.0:
         raise DegenerateWeightsError("all member probabilities are zero")
@@ -89,7 +95,36 @@ def summarize(cluster: Cluster, prob_mode: str = PROB_SCALED_MAX) -> ClusterSumm
     y2 = sum(m.prob * m.box.y2 for m in members) / total
     peak = max(m.prob for m in members)
     prob = peak / len(members) if prob_mode == PROB_SCALED_MAX else peak
-    return ClusterSummary(Box(x1, y1, x2, y2), prob, cluster.class_id, len(members))
+    return x1, y1, x2, y2, prob
+
+
+def summarize(cluster: Cluster, prob_mode: str = PROB_SCALED_MAX) -> ClusterSummary:
+    """Compute the aggregate (box, probability, class) of a cluster.
+
+    The aggregate box is the per-coordinate average of member boxes weighted
+    by member probability; the aggregate probability is the max member
+    probability divided by the cluster size (or the plain max, see
+    ``prob_mode``). Raises DegenerateWeightsError when all member
+    probabilities are zero.
+    """
+    _check_prob_mode(prob_mode)
+    x1, y1, x2, y2, prob = _aggregate(cluster.members, prob_mode)
+    return ClusterSummary(Box(x1, y1, x2, y2), prob, cluster.class_id, len(cluster.members))
+
+
+class _Open:
+    """A cluster being built: its members and their current aggregate."""
+
+    __slots__ = ("x1", "y1", "x2", "y2", "area", "prob", "members")
+
+    def __init__(self) -> None:
+        self.members: list[Detection] = []
+
+    def add(self, det: Detection, prob_mode: str) -> None:
+        self.members.append(det)
+        x1, y1, x2, y2, self.prob = _aggregate(self.members, prob_mode)
+        self.x1, self.y1, self.x2, self.y2 = x1, y1, x2, y2
+        self.area = (x2 - x1) * (y2 - y1)
 
 
 def merge_boxes_with_members(
@@ -99,7 +134,8 @@ def merge_boxes_with_members(
 ) -> list[tuple[Cluster, ClusterSummary]]:
     """Like merge_boxes, but also returns each cluster's member list."""
     if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+        raise ContractError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+    _check_prob_mode(prob_mode)
     if not detections:
         return []
     if len({d.image_id for d in detections}) > 1:
@@ -109,30 +145,50 @@ def merge_boxes_with_members(
         range(len(detections)),
         key=lambda i: (-detections[i].prob, detections[i].model_id, i),
     )
-    clusters: list[list[Detection]] = []
-    summaries: list[ClusterSummary] = []
+    created: list[_Open] = []
+    buckets: dict[int, list[_Open]] = defaultdict(list)
     for i in order:
         det = detections[i]
-        best: int | None = None
-        for ci, s in enumerate(summaries):
-            if s.class_id != det.class_id:
+        b = det.box
+        bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+        b_area = (bx2 - bx1) * (by2 - by1)
+        bucket = buckets[det.class_id]
+        best: _Open | None = None
+        for c in bucket:
+            # iou(cluster box, det box) with geometry.iou's operations, where
+            # min(u, v) is `v if v < u else u`. No overlap means IoU 0, which
+            # is below every allowed threshold.
+            iw = (bx2 if bx2 < c.x2 else c.x2) - (bx1 if bx1 > c.x1 else c.x1)
+            if iw <= 0:
                 continue
-            if iou(s.box, det.box) < iou_threshold:
+            ih = (by2 if by2 < c.y2 else c.y2) - (by1 if by1 > c.y1 else c.y1)
+            if ih <= 0:
                 continue
-            if best is None or s.prob > summaries[best].prob:
-                best = ci
+            inter = iw * ih
+            union = c.area + b_area - inter
+            if union < MIN_NORMAL:
+                v = iou(Box(c.x1, c.y1, c.x2, c.y2), b)
+            else:
+                v = inter / union
+            if v < iou_threshold:
+                continue
+            if best is None or c.prob > best.prob:
+                best = c
         if best is None:
-            clusters.append([det])
-            summaries.append(summarize(Cluster([det]), prob_mode))
-        else:
-            clusters[best].append(det)
-            summaries[best] = summarize(Cluster(clusters[best]), prob_mode)
+            best = _Open()
+            created.append(best)
+            bucket.append(best)
+        best.add(det, prob_mode)
 
+    summaries = [
+        ClusterSummary(Box(c.x1, c.y1, c.x2, c.y2), c.prob, c.members[0].class_id, len(c.members))
+        for c in created
+    ]
     ranked = sorted(
         range(len(summaries)),
-        key=lambda c: (-summaries[c].prob, -summaries[c].support, c),
+        key=lambda k: (-summaries[k].prob, -summaries[k].support, k),
     )
-    return [(Cluster(clusters[c]), summaries[c]) for c in ranked]
+    return [(Cluster(created[k].members), summaries[k]) for k in ranked]
 
 
 def merge_boxes(

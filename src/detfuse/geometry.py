@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+# Smallest positive normal float. A union area below it has underflowed to
+# zero or to a subnormal with too few significant bits to divide by.
+MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -46,14 +51,28 @@ def area(b: Box) -> float:
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes.
 
-    Boxes sharing only an edge intersect with area 0. When both boxes are
-    degenerate (union area 0) the result is defined as 0 so downstream
-    sorting stays total.
+    Boxes sharing only an edge intersect with area 0. When the union area
+    underflows (tiny boxes), IoU is recomputed with the x extents divided by
+    the larger width and the y extents by the larger height, which leaves it
+    unchanged. When both boxes are degenerate (union area 0 in any frame)
+    the result is defined as 0 so downstream sorting stays total.
     """
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)
     ih = min(a.y2, b.y2) - max(a.y1, b.y1)
     inter = iw * ih if (iw > 0 and ih > 0) else 0.0
     union = area(a) + area(b) - inter
-    if union <= 0:
-        return 0.0
+    if union < MIN_NORMAL:
+        return _iou_rescaled(a, b, iw, ih)
     return inter / union
+
+
+def _iou_rescaled(a: Box, b: Box, iw: float, ih: float) -> float:
+    """IoU in a frame where the larger width and the larger height are 1."""
+    aw, bw = a.x2 - a.x1, b.x2 - b.x1
+    ah, bh = a.y2 - a.y1, b.y2 - b.y1
+    sx, sy = max(aw, bw), max(ah, bh)
+    if sx == 0 or sy == 0:
+        return 0.0
+    inter = (iw / sx) * (ih / sy) if (iw > 0 and ih > 0) else 0.0
+    union = (aw / sx) * (ah / sy) + (bw / sx) * (bh / sy) - inter
+    return inter / union if union > 0 else 0.0

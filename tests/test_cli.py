@@ -14,11 +14,6 @@ from detfuse.io import (
 )
 
 
-@pytest.fixture(autouse=True)
-def single_thread(monkeypatch):
-    monkeypatch.setenv("DETFUSE_THREADS", "1")
-
-
 def make_gts(tmp_path, records):
     by_image = {}
     for r in records:
@@ -189,26 +184,26 @@ def test_pipeline_fuse_eval_round(tmp_path):
     assert (tmp_path / "report.tsv").exists()
 
 
-def test_thread_env_var_does_not_change_output(tmp_path, monkeypatch):
-    gts = [
-        GroundTruthRecord(f"im{i}", i % 3, Box(10 + i, 10, 100 + i, 100))
-        for i in range(12)
-    ]
+def test_fuse_bad_iou_threshold_exit_code(tmp_path, capsys):
+    f1 = tmp_path / "m1.jsonl"
+    save_detections(f1, [Detection(Box(0, 0, 10, 10), 1, 0.9, 0, "a")])
+    out = tmp_path / "fused.jsonl"
+    assert main(["fuse", str(f1), "--iou-fusion", "1.5", "--out", str(out)]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "iou_threshold" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_bad_n_blocks_exit_code(tmp_path, capsys):
+    gts = [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))]
     manifest = make_gts(tmp_path, gts)
-    main(["synth", manifest, "--models", "3", "--seed", "5", "--jitter", "3.0",
-          "--fp-rate", "1.0", "--out", str(tmp_path / "d")])
-    inputs = [str(tmp_path / f"d.model{i}.jsonl") for i in range(3)]
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("DETFUSE_THREADS", threads)
-        out = tmp_path / f"fused_{threads}.jsonl"
-        assert main(["fuse", *inputs, "--out", str(out)]) == EXIT_OK
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-
-
-def test_bad_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("DETFUSE_THREADS", "lots")
-    f1 = tmp_path / "m.jsonl"
-    f1.write_text("")
-    assert main(["fuse", str(f1), "--out", str(tmp_path / "o")]) == EXIT_CONTRACT
+    preds = tmp_path / "preds.jsonl"
+    save_detections(preds, [Detection(Box(0, 0, 10, 10), 0, 0.9, 0, "a")])
+    out = tmp_path / "report"
+    assert main(["eval", str(preds), manifest, "--n-blocks", "0", "--out", str(out)]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "n_blocks" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.txt").exists()
+    assert not (tmp_path / "report.tsv").exists()

@@ -75,6 +75,13 @@ class TestMatching:
         with pytest.raises(ContractError):
             match_detections([det((0, 0, 1, 1), image_id="a")], [gt((0, 0, 1, 1), image_id="b")])
 
+    def test_underflowing_boxes_match(self):
+        # both areas underflow to 0; the IoU of identical boxes is still 1
+        tiny = (0.0, 0.0, 1.3279261924115152e-168, 2.6408222023612193e-157)
+        outcomes, fn = match_detections([det(tiny)], [gt(tiny)])
+        assert outcomes[0].verdict == "TP"
+        assert evaluate_dataset([det(tiny)], [gt(tiny)]).detection_rate == 1.0
+
 
 class TestPrecisionRecall:
     @pytest.mark.parametrize(

@@ -123,6 +123,11 @@ class TestMergeBoxes:
         with pytest.raises(ValueError):
             merge_boxes([det((0, 0, 1, 1))], iou_threshold=1.0)
 
+    def test_underflowing_boxes_merge(self):
+        # both areas underflow to 0; the IoU of identical boxes is still 1
+        tiny = (0.0, 0.0, 1.3279261924115152e-168, 2.6408222023612193e-157)
+        assert len(merge_boxes([det(tiny, 1, 0.5), det(tiny, 1, 0.5)])) == 1
+
     def test_threshold_inclusive(self):
         # (0,0,10,10) vs (0,0,10,5): inter 50, union 100 -> IoU exactly 0.5, must merge
         a = det((0, 0, 10, 10), 1, 0.8)

@@ -1,9 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from detfuse import Box, area, iou
+
+# positive extents whose product underflows to 0
+_TINY = Box(0.0, 0.0, 1.3279261924115152e-168, 2.6408222023612193e-157)
 
 
 def test_area_direct():
@@ -35,6 +38,13 @@ def test_iou_edge_contact_is_zero():
 
 def test_iou_degenerate_pair():
     assert iou(Box(1, 1, 1, 1), Box(1, 1, 1, 1)) == 0.0
+
+
+def test_iou_underflowing_area():
+    assert iou(_TINY, _TINY) == 1.0
+    assert iou(_TINY, Box(0.0, 0.0, _TINY.x2, _TINY.y2 / 2)) == 0.5
+    assert iou(_TINY, Box(_TINY.x2, 0.0, 2 * _TINY.x2, _TINY.y2)) == 0.0
+    assert iou(Box(0.0, 0.0, 0.0, 1e-300), Box(0.0, 0.0, 0.0, 1e-300)) == 0.0
 
 
 def test_box_validation():
@@ -84,6 +94,7 @@ def test_iou_translation_invariant_exact(a, b, dx, dy):
 
 
 @given(boxes(), boxes(), st.floats(min_value=1e-2, max_value=1e2, allow_nan=False))
+@example(_TINY, _TINY, 100.0)  # the area underflows to 0 at scale 1, not at 100
 def test_iou_scale_invariant(a, b, s):
     sa = Box(a.x1 * s, a.y1 * s, a.x2 * s, a.y2 * s)
     sb = Box(b.x1 * s, b.y1 * s, b.x2 * s, b.y2 * s)
