@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DetfuseError
+from .errors import ContractError, DetfuseError
 from .evaluation import GroundTruthRecord
 from .geometry import Box
 from .io import (
@@ -68,12 +68,12 @@ class AugmentSpec:
 
     def __post_init__(self) -> None:
         if any(not 0 <= a < 360 for a in self.rotations):
-            raise ValueError("rotation angles must lie in [0, 360)")
+            raise ContractError("rotation angles must lie in [0, 360)")
         for f in (*self.saturation_factors, *self.exposure_factors, *self.contrast_factors):
             if f <= 0:
-                raise ValueError("factors must be positive")
+                raise ContractError("factors must be positive")
         if any(r < 0 for r in self.blur_radii):
-            raise ValueError("blur radii must be non-negative")
+            raise ContractError("blur radii must be non-negative")
 
 
 def _rotation_trig(angle: float) -> tuple[float, float]:
@@ -297,30 +297,50 @@ def expand_dataset(
 
     Derived files get deterministic names (``base_rNNN_sXXX_eXXX`` plus
     optional mirror/blur/contrast suffixes); the identity combination appears
-    exactly once. Unreadable inputs are recorded and skipped; a planned
-    output name collision is fatal. Alongside the derived images and
-    annotation files the output directory receives ``manifest.txt`` and a
-    ``provenance.txt`` mapping each derived image to its source.
+    exactly once. Every name is planned from the image stems before any
+    pixel is read or any file is written, so a collision (two angles that
+    round alike, or one stem in two manifest directories) raises
+    ``ContractError`` and leaves no derived file. Unreadable inputs are
+    recorded and skipped. Alongside the derived images and annotation files
+    the output directory receives ``manifest.txt`` and a ``provenance.txt``
+    mapping each derived image to its source.
+
+    Variants are emitted in the order rotation, saturation, exposure, mirror,
+    blur radius, contrast, and each transform prefix is computed once per
+    source image: one rotation per angle, one color adjustment per (angle,
+    saturation, exposure) and one blur per radius on top of that. Mirroring
+    is applied after color and blur rather than before them; a horizontal
+    flip commutes exactly with those per-pixel and flip-symmetric window
+    transforms, so every derived byte equals the per-variant composition
+    rotate, mirror, color, blur, contrast.
     """
+    sources = read_manifest(manifest_path)
+    colors = list(product(spec.saturation_factors, spec.exposure_factors))
+    mirrors = [False] + ([True] if spec.mirror else [])
+    radii = [0, *spec.blur_radii]
+    cfacs = [1.0, *spec.contrast_factors]
+    n_variants = len(spec.rotations) * len(colors) * len(mirrors) * len(radii) * len(cfacs)
+    planned: dict[str, str] = {}
+    for image_path, _ in sources:
+        stem = image_id_from_path(image_path)
+        for rot, (sat, exp), mirrored, radius, cfac in product(
+            spec.rotations, colors, mirrors, radii, cfacs
+        ):
+            name = _variant_name(stem, rot, sat, exp, mirrored, radius, cfac)
+            if name in planned:
+                raise ContractError(
+                    f"output name collision: {name} (from {planned[name]} and {image_path})"
+                )
+            planned[name] = image_path
+
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    variants = list(
-        product(
-            spec.rotations,
-            spec.saturation_factors,
-            spec.exposure_factors,
-            [False] + ([True] if spec.mirror else []),
-            [0, *spec.blur_radii],
-            [1.0, *spec.contrast_factors],
-        )
-    )
     entries: list[tuple[str, str]] = []
     provenance: list[tuple[str, str]] = []
     errors: list[str] = []
-    seen_names: set[str] = set()
     boxes_in = 0
     boxes_emitted = 0
-    for image_path, ann_path in read_manifest(manifest_path):
+    for image_path, ann_path in sources:
         stem = image_id_from_path(image_path)
         try:
             img = read_ppm(image_path)
@@ -328,28 +348,30 @@ def expand_dataset(
         except (OSError, DetfuseError) as e:
             errors.append(f"{image_path}: {e}")
             continue
-        boxes_in += len(anns) * len(variants)
-        for rot, sat, exp, mirrored, radius, cfac in variants:
-            name = _variant_name(stem, rot, sat, exp, mirrored, radius, cfac)
-            if name in seen_names:
-                raise DetfuseError(f"output name collision: {name}")
-            seen_names.add(name)
-            work = rotate_with_boxes(AnnotatedImage(img, list(anns)), rot)
-            if mirrored:
-                work = mirror_with_boxes(work)
-            pixels = adjust_color(work.image, sat, exp)
-            pixels = blur(pixels, radius)
-            pixels = contrast(pixels, cfac)
-            derived_anns = [
-                GroundTruthRecord(name, a.class_id, a.box) for a in work.annotations
-            ]
-            boxes_emitted += len(derived_anns)
-            img_out = os.path.join(out_dir, name + ".ppm")
-            ann_out = os.path.join(out_dir, name + ".txt")
-            write_ppm(img_out, pixels)
-            save_annotations(ann_out, derived_anns)
-            entries.append((img_out, ann_out))
-            provenance.append((img_out, image_path))
+        boxes_in += len(anns) * n_variants
+        for rot in spec.rotations:
+            rotated = rotate_with_boxes(AnnotatedImage(img, list(anns)), rot)
+            for sat, exp in colors:
+                colored = adjust_color(rotated.image, sat, exp)
+                blurred = [blur(colored, radius) for radius in radii]
+                for mirrored in mirrors:
+                    for radius, pixels in zip(radii, blurred):
+                        work = AnnotatedImage(pixels, rotated.annotations)
+                        if mirrored:
+                            work = mirror_with_boxes(work)
+                        for cfac in cfacs:
+                            name = _variant_name(stem, rot, sat, exp, mirrored, radius, cfac)
+                            derived_anns = [
+                                GroundTruthRecord(name, a.class_id, a.box)
+                                for a in work.annotations
+                            ]
+                            boxes_emitted += len(derived_anns)
+                            img_out = os.path.join(out_dir, name + ".ppm")
+                            ann_out = os.path.join(out_dir, name + ".txt")
+                            write_ppm(img_out, contrast(work.image, cfac))
+                            save_annotations(ann_out, derived_anns)
+                            entries.append((img_out, ann_out))
+                            provenance.append((img_out, image_path))
     manifest_out = os.path.join(out_dir, "manifest.txt")
     write_manifest(manifest_out, entries)
     provenance_out = os.path.join(out_dir, "provenance.txt")

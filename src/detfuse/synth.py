@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ContractError
 from .evaluation import GroundTruthRecord
 from .fusion import Detection
 from .geometry import Box, iou
@@ -42,13 +43,13 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_rate <= 1.0:
-            raise ValueError("drop_rate must be in [0, 1]")
+            raise ContractError("drop_rate must be in [0, 1]")
         if not 0.0 <= self.misclass_rate <= 1.0:
-            raise ValueError("misclass_rate must be in [0, 1]")
+            raise ContractError("misclass_rate must be in [0, 1]")
         if self.jitter_sigma < 0 or self.fp_rate < 0:
-            raise ValueError("jitter_sigma and fp_rate must be non-negative")
+            raise ContractError("jitter_sigma and fp_rate must be non-negative")
         if self.conf_calibration[1] < 0:
-            raise ValueError("confidence noise sigma must be non-negative")
+            raise ContractError("confidence noise sigma must be non-negative")
 
 
 def _image_stream(seed: int, image_id: str) -> np.random.Generator:
@@ -119,7 +120,7 @@ def generate_ensemble(
 ) -> list[list[Detection]]:
     """k independent detection sets; model i uses seed base_seed + i."""
     if k_models < 1:
-        raise ValueError(f"k_models must be >= 1, got {k_models}")
+        raise ContractError(f"k_models must be >= 1, got {k_models}")
     return [
         generate_model_detections(
             gts, replace(base_noise, seed=base_noise.seed + i), model_id=i,

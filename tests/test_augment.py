@@ -2,13 +2,19 @@ import colorsys
 import math
 import os
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import detfuse.augment
 from detfuse import (
     AnnotatedImage,
     AugmentSpec,
     Box,
+    ContractError,
     GroundTruthRecord,
     adjust_color,
     blur,
@@ -182,13 +188,38 @@ class TestBlurContrast:
             contrast(np.zeros((2, 2, 3), np.uint8), 0.0)
 
 
+class TestMirrorCommutes:
+    """A horizontal flip commutes bit for bit with the non-geometric transforms."""
+
+    images = arrays(
+        np.uint8,
+        st.tuples(st.integers(1, 9), st.integers(1, 9), st.just(3)),
+    )
+    factors = st.floats(0.05, 4.0)
+
+    @given(images, factors, factors)
+    def test_adjust_color(self, img, saturation, exposure):
+        assert np.array_equal(
+            adjust_color(img[:, ::-1], saturation, exposure),
+            adjust_color(img, saturation, exposure)[:, ::-1],
+        )
+
+    @given(images, st.integers(0, 12))
+    def test_blur(self, img, radius):
+        assert np.array_equal(blur(img[:, ::-1], radius), blur(img, radius)[:, ::-1])
+
+    @given(images, factors)
+    def test_contrast(self, img, factor):
+        assert np.array_equal(contrast(img[:, ::-1], factor), contrast(img, factor)[:, ::-1])
+
+
 class TestSpecValidation:
     def test_bad_rotation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             AugmentSpec(rotations=(400.0,))
 
     def test_bad_factor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             AugmentSpec(saturation_factors=(0.0,))
 
 
@@ -284,3 +315,111 @@ class TestExpandDataset:
         manifest, _ = _write_source(tmp_path, rng)
         result = expand_dataset(manifest, AugmentSpec(), tmp_path / "out")
         assert read_manifest(result.manifest_path) == result.entries
+
+
+def _reference_variants(image, anns, stem, spec):
+    """Every variant composed on its own, in the order rotate, mirror, color,
+    blur, contrast: (name, pixels, annotations)."""
+    for rot, sat, exp, mirrored, radius, cfac in product(
+        spec.rotations,
+        spec.saturation_factors,
+        spec.exposure_factors,
+        [False, True] if spec.mirror else [False],
+        [0, *spec.blur_radii],
+        [1.0, *spec.contrast_factors],
+    ):
+        name = f"{stem}_r{round(rot):03d}_s{round(sat * 100):03d}_e{round(exp * 100):03d}"
+        name += ("_m" if mirrored else "") + (f"_b{radius:02d}" if radius else "")
+        name += f"_c{round(cfac * 100):03d}" if cfac != 1.0 else ""
+        work = rotate_with_boxes(AnnotatedImage(image, list(anns)), rot)
+        if mirrored:
+            work = mirror_with_boxes(work)
+        pixels = contrast(blur(adjust_color(work.image, sat, exp), radius), cfac)
+        yield name, pixels, [GroundTruthRecord(name, a.class_id, a.box) for a in work.annotations]
+
+
+FULL_GRID = AugmentSpec(
+    rotations=(0.0, 37.5, 90.0),
+    saturation_factors=(1.0, 1.6),
+    exposure_factors=(1.0, 0.7),
+    mirror=True,
+    blur_radii=(1, 40),
+    contrast_factors=(1.3,),
+)
+
+
+class TestExpandEquivalence:
+    def test_matches_per_variant_composition(self, tmp_path):
+        rng = np.random.default_rng(18)
+        sources = []
+        for stem, (w, h) in (("odd", (13, 9)), ("tall", (7, 11))):
+            image = rand_image(rng, w, h)
+            anns = [ann((1.5, 0.5, 9.0, 6.25), 0, stem), ann((0, 2, w, h), 1, stem)]
+            write_ppm(tmp_path / f"{stem}.ppm", image)
+            save_annotations(tmp_path / f"{stem}.txt", anns)
+            sources.append((stem, image, anns))
+        write_manifest(
+            tmp_path / "manifest.txt",
+            [(str(tmp_path / f"{s}.ppm"), str(tmp_path / f"{s}.txt")) for s, _, _ in sources],
+        )
+        result = expand_dataset(tmp_path / "manifest.txt", FULL_GRID, tmp_path / "out")
+
+        ref_dir = tmp_path / "ref"
+        ref_dir.mkdir()
+        expected = [
+            variant
+            for stem, image, anns in sources
+            for variant in _reference_variants(image, anns, stem, FULL_GRID)
+        ]
+        assert len(expected) == 2 * 3 * 2 * 2 * 2 * 3 * 2
+        assert len(result.entries) == len(expected)
+        for (img_out, ann_out), (name, pixels, anns) in zip(result.entries, expected):
+            assert os.path.basename(img_out) == name + ".ppm"
+            write_ppm(ref_dir / "v.ppm", pixels)
+            save_annotations(ref_dir / "v.txt", anns)
+            assert open(img_out, "rb").read() == (ref_dir / "v.ppm").read_bytes(), name
+            assert open(ann_out, "rb").read() == (ref_dir / "v.txt").read_bytes(), name
+
+    def test_each_prefix_computed_once(self, tmp_path, monkeypatch):
+        calls = {"rotate_with_boxes": [], "adjust_color": [], "blur": []}
+        for fn_name, log in calls.items():
+            original = getattr(detfuse.augment, fn_name)
+
+            def counted(*args, _original=original, _log=log):
+                _log.append(args[1:])
+                return _original(*args)
+
+            monkeypatch.setattr(detfuse.augment, fn_name, counted)
+        manifest, _ = _write_source(tmp_path, np.random.default_rng(19), n_images=2)
+        result = expand_dataset(manifest, FULL_GRID, tmp_path / "out")
+        assert len(result.entries) == 2 * 144
+        n_rot, n_color, n_radii = 3, 2 * 2, 3
+        assert len(calls["rotate_with_boxes"]) == 2 * n_rot
+        assert len(calls["adjust_color"]) == 2 * n_rot * n_color
+        assert len(calls["blur"]) == 2 * n_rot * n_color * n_radii
+        assert calls["rotate_with_boxes"][:n_rot] == [(0.0,), (37.5,), (90.0,)]
+        assert calls["adjust_color"][:n_color] == [(1.0, 1.0), (1.0, 0.7), (1.6, 1.0), (1.6, 0.7)]
+        assert calls["blur"][:n_radii] == [(0,), (1,), (40,)]
+
+
+class TestNamePlanning:
+    def test_rounding_collision_writes_nothing(self, tmp_path):
+        manifest, _ = _write_source(tmp_path, np.random.default_rng(20), n_images=1)
+        out = tmp_path / "out"
+        with pytest.raises(ContractError, match="src0_r030_s100_e100"):
+            expand_dataset(manifest, AugmentSpec(rotations=(30.0, 30.2)), out)
+        assert not out.exists()
+
+    def test_duplicate_stem_across_directories(self, tmp_path):
+        rng = np.random.default_rng(21)
+        entries = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            write_ppm(tmp_path / sub / "pic.ppm", rand_image(rng, 6, 5))
+            save_annotations(tmp_path / sub / "pic.txt", [ann((1, 1, 4, 4), 0, "pic")])
+            entries.append((str(tmp_path / sub / "pic.ppm"), str(tmp_path / sub / "pic.txt")))
+        write_manifest(tmp_path / "manifest.txt", entries)
+        out = tmp_path / "out"
+        with pytest.raises(ContractError, match="pic_r000_s100_e100"):
+            expand_dataset(tmp_path / "manifest.txt", AugmentSpec(), out)
+        assert not out.exists()

@@ -207,3 +207,45 @@ def test_eval_bad_n_blocks_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
     assert not (tmp_path / "report.txt").exists()
     assert not (tmp_path / "report.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--models", "0"], "k_models"), (["--drop-rate", "2"], "drop_rate")],
+)
+def test_synth_bad_argument_exit_code(tmp_path, capsys, flags, message):
+    manifest = make_gts(tmp_path, [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))])
+    out = tmp_path / "dets"
+    assert main(["synth", manifest, *flags, "--out", str(out)]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "dets.model0.jsonl").exists()
+
+
+def _augment_manifest(tmp_path):
+    img = tmp_path / "a.ppm"
+    ann = tmp_path / "a.txt"
+    write_ppm(img, np.zeros((6, 8, 3), np.uint8))
+    save_annotations(ann, [GroundTruthRecord("a", 0, Box(1, 1, 5, 4))])
+    manifest = tmp_path / "m.txt"
+    write_manifest(manifest, [(str(img), str(ann))])
+    return str(manifest)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--rotations", "400"], "rotation"),
+        (["--saturations", "0"], "positive"),
+        (["--rotations", "30,30.2"], "collision: a_r030_s100_e100"),
+    ],
+)
+def test_augment_bad_argument_exit_code(tmp_path, capsys, flags, message):
+    manifest = _augment_manifest(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["augment", manifest, *flags, "--out", str(out_dir)]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
