@@ -14,7 +14,7 @@ from .augment import AugmentSpec, expand_dataset
 from .errors import ContractError, ParseError
 from .evaluation import EvaluationReport, evaluate_dataset
 from .fusion import PROB_MODES, PROB_SCALED_MAX, Detection, merge_boxes
-from .io import load_detections, load_ground_truth, save_detections
+from .io import atomic_output, load_detections, load_ground_truth, save_detections
 from .synth import NoiseModel, generate_ensemble
 
 EXIT_OK = 0
@@ -86,10 +86,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     preds = load_detections(args.preds)
     gts = load_ground_truth(args.gts)
     report = evaluate_dataset(preds, gts, args.iou_eval, args.n_blocks)
-    with open(args.out + ".txt", "w", encoding="utf-8", newline="\n") as f:
-        f.write(_format_report(report))
-    with open(args.out + ".tsv", "w", encoding="utf-8", newline="\n") as f:
-        f.write(_format_table(report))
+    with atomic_output(args.out + ".txt") as txt, atomic_output(args.out + ".tsv") as tsv:
+        txt.write(_format_report(report))
+        tsv.write(_format_table(report))
     print(f"mAP: {report.mean_ap!r}")
     print(f"detection-rate: {report.detection_rate!r}")
     return EXIT_OK

@@ -10,9 +10,10 @@ shared class.
 Clusters are kept in per-class buckets, in creation order, so a detection
 scans only the clusters of its own class and ties still go to the cluster
 created first. Each cluster carries its aggregate as plain floats; the
-summary objects are built once, when clustering ends. After an insertion
-the aggregate is summed afresh over the members with the same ``sum()``
-expressions as ``summarize``, not updated from running totals: ``sum()``
+summary objects are built once, when clustering ends. Each member's
+probability p and products p*x1, p*y1, p*x2, p*y2 are stored when it joins;
+after an insertion the aggregate is ``sum()`` of those lists, the same sums
+``summarize`` takes, not updated from running totals: ``sum()``
 of floats rounds differently from repeated ``+=`` on Python 3.12 and later
 (it compensates), and the aggregate must equal the direct formula bit for
 bit on every supported Python.
@@ -84,18 +85,22 @@ def _check_prob_mode(prob_mode: str) -> None:
         raise ContractError(f"unknown prob_mode {prob_mode!r}")
 
 
-def _aggregate(members: list[Detection], prob_mode: str) -> tuple[float, ...]:
-    """(x1, y1, x2, y2, prob) of a cluster, each a fresh sum() over its members."""
-    total = sum(m.prob for m in members)
+def _aggregate(
+    p: list[float],
+    px1: list[float],
+    py1: list[float],
+    px2: list[float],
+    py2: list[float],
+    prob_mode: str,
+) -> tuple[float, float, float, float, float]:
+    """(x1, y1, x2, y2, prob) of a cluster from its members' probabilities
+    ``p`` and probability-weighted corners ``p * x1`` ..., in member order."""
+    total = sum(p)
     if total <= 0.0:
         raise DegenerateWeightsError("all member probabilities are zero")
-    x1 = sum(m.prob * m.box.x1 for m in members) / total
-    y1 = sum(m.prob * m.box.y1 for m in members) / total
-    x2 = sum(m.prob * m.box.x2 for m in members) / total
-    y2 = sum(m.prob * m.box.y2 for m in members) / total
-    peak = max(m.prob for m in members)
-    prob = peak / len(members) if prob_mode == PROB_SCALED_MAX else peak
-    return x1, y1, x2, y2, prob
+    peak = max(p)
+    prob = peak / len(p) if prob_mode == PROB_SCALED_MAX else peak
+    return sum(px1) / total, sum(py1) / total, sum(px2) / total, sum(py2) / total, prob
 
 
 def summarize(cluster: Cluster, prob_mode: str = PROB_SCALED_MAX) -> ClusterSummary:
@@ -108,31 +113,50 @@ def summarize(cluster: Cluster, prob_mode: str = PROB_SCALED_MAX) -> ClusterSumm
     probabilities are zero.
     """
     _check_prob_mode(prob_mode)
-    x1, y1, x2, y2, prob = _aggregate(cluster.members, prob_mode)
-    return ClusterSummary(Box(x1, y1, x2, y2), prob, cluster.class_id, len(cluster.members))
+    ms = cluster.members
+    x1, y1, x2, y2, prob = _aggregate(
+        [m.prob for m in ms],
+        [m.prob * m.box.x1 for m in ms],
+        [m.prob * m.box.y1 for m in ms],
+        [m.prob * m.box.x2 for m in ms],
+        [m.prob * m.box.y2 for m in ms],
+        prob_mode,
+    )
+    return ClusterSummary(Box(x1, y1, x2, y2), prob, cluster.class_id, len(ms))
 
 
 class _Open:
-    """A cluster being built: its members and their current aggregate."""
+    """A cluster being built: its members, their weighted corners and the aggregate."""
 
-    __slots__ = ("x1", "y1", "x2", "y2", "area", "prob", "members")
+    __slots__ = ("x1", "y1", "x2", "y2", "area", "prob", "members", "p", "px1", "py1", "px2", "py2")
 
     def __init__(self) -> None:
         self.members: list[Detection] = []
+        self.p: list[float] = []
+        self.px1: list[float] = []
+        self.py1: list[float] = []
+        self.px2: list[float] = []
+        self.py2: list[float] = []
 
     def add(self, det: Detection, prob_mode: str) -> None:
+        p, b = det.prob, det.box
         self.members.append(det)
-        x1, y1, x2, y2, self.prob = _aggregate(self.members, prob_mode)
+        self.p.append(p)
+        self.px1.append(p * b.x1)
+        self.py1.append(p * b.y1)
+        self.px2.append(p * b.x2)
+        self.py2.append(p * b.y2)
+        x1, y1, x2, y2, self.prob = _aggregate(
+            self.p, self.px1, self.py1, self.px2, self.py2, prob_mode
+        )
         self.x1, self.y1, self.x2, self.y2 = x1, y1, x2, y2
         self.area = (x2 - x1) * (y2 - y1)
 
 
-def merge_boxes_with_members(
-    detections: list[Detection],
-    iou_threshold: float = 0.5,
-    prob_mode: str = PROB_SCALED_MAX,
-) -> list[tuple[Cluster, ClusterSummary]]:
-    """Like merge_boxes, but also returns each cluster's member list."""
+def _merge(
+    detections: list[Detection], iou_threshold: float, prob_mode: str
+) -> list[tuple[list[Detection], ClusterSummary]]:
+    """Member lists and summaries of one image's clusters, in merge_boxes order."""
     if not 0.0 < iou_threshold < 1.0:
         raise ContractError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
     _check_prob_mode(prob_mode)
@@ -188,7 +212,16 @@ def merge_boxes_with_members(
         range(len(summaries)),
         key=lambda k: (-summaries[k].prob, -summaries[k].support, k),
     )
-    return [(Cluster(created[k].members), summaries[k]) for k in ranked]
+    return [(created[k].members, summaries[k]) for k in ranked]
+
+
+def merge_boxes_with_members(
+    detections: list[Detection],
+    iou_threshold: float = 0.5,
+    prob_mode: str = PROB_SCALED_MAX,
+) -> list[tuple[Cluster, ClusterSummary]]:
+    """Like merge_boxes, but also returns each cluster's member list."""
+    return [(Cluster(m), s) for m, s in _merge(detections, iou_threshold, prob_mode)]
 
 
 def merge_boxes(
@@ -206,4 +239,4 @@ def merge_boxes(
     aggregate probability, ties broken by descending support then cluster
     creation order.
     """
-    return [s for _, s in merge_boxes_with_members(detections, iou_threshold, prob_mode)]
+    return [s for _, s in _merge(detections, iou_threshold, prob_mode)]

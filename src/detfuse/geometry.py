@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
+from math import isfinite
 
 # Smallest positive normal float. A union area below it has underflowed to
 # zero or to a subnormal with too few significant bits to divide by.
@@ -25,10 +25,10 @@ class Box:
     y2: float
 
     def __post_init__(self) -> None:
-        for v in (self.x1, self.y1, self.x2, self.y2):
-            if not math.isfinite(v):
-                raise ValueError(f"box coordinates must be finite: {self!r}")
-        if self.x2 < self.x1 or self.y2 < self.y1:
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
+            raise ValueError(f"box coordinates must be finite: {self!r}")
+        if x2 < x1 or y2 < y1:
             raise ValueError(f"box corners out of order: {self!r}")
 
     @property

@@ -1,18 +1,42 @@
-"""File formats: detection record files, annotation files, manifests, PPM.
+r"""File formats: detection record files, annotation files, manifests, PPM.
 
-Detection record files are line-oriented JSON: one object per line with keys
-image_id (string), model_id (int), class_id (int), bbox ([x1, y1, x2, y2] in
-absolute pixels) and score (real in [0, 1]). Annotation files carry one
-``class_id x1 y1 x2 y2`` record per line. A manifest lists
-``image_path annotation_path`` pairs, resolved relative to the manifest's
-directory. Images are binary PPM (P6, maxval 255).
+Detection record files are JSON Lines. The writer emits one line per
+detection, with the keys in this order and nothing else::
+
+    {"bbox": [x1, y1, x2, y2], "class_id": C, "image_id": "ID", "model_id": M, "score": S}\n
+
+This is the line ``json.dumps(record, sort_keys=True) + "\n"`` gives when
+the coordinates and score are floats. Coordinates and score are written
+as shortest round-trip float reprs (``1.0``, ``-0.0``, ``1e+16``,
+``5e-324``; an integer coordinate becomes ``10.0``), class_id and model_id
+as decimal integers, and image_id as a JSON string with non-ASCII
+characters escaped.
+
+The reader takes any UTF-8 file of such objects, one per line, in any key
+order and spacing; blank lines and extra keys are ignored. It requires
+image_id to be a string, class_id and model_id to be integers (not
+``1.0`` or ``true``), bbox to be a list of four numbers and score a
+number (integers or reals, not strings or booleans). The box must be
+finite with x1 <= x2 and y1 <= y2, score must lie in [0, 1] and class_id
+must be non-negative. Anything else raises ParseError naming the file and
+the line (for text that is not UTF-8, the last line read before it).
+
+Annotation files carry one ``class_id x1 y1 x2 y2`` record per line. A
+manifest lists ``image_path annotation_path`` pairs, resolved relative to
+the manifest's directory. Images are binary PPM (P6, maxval 255).
+
+Detection files and evaluation reports are written to a temporary file
+beside the target and moved into place when complete, so a failing writer
+leaves the previous file, or none, rather than a partial one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from typing import Iterable
+import stat
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -21,54 +45,111 @@ from .evaluation import GroundTruthRecord
 from .fusion import Detection
 from .geometry import Box
 
-DETECTION_KEYS = ("image_id", "model_id", "class_id", "bbox", "score")
+@contextlib.contextmanager
+def atomic_output(path: str | os.PathLike) -> Iterator[TextIO]:
+    """Open a UTF-8 text file that appears at ``path`` only once it is complete.
+
+    Writes go to a temporary file in the target's directory, which replaces
+    the target when the block ends and is deleted when the block raises.
+    A symbolic link is followed, so its target is replaced and the link
+    kept. A path naming something other than a regular file, such as
+    ``/dev/null`` or a pipe, is written directly: it holds no file to leave
+    half-written, and replacing it would remove it.
+    """
+    try:
+        special = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        special = False
+    if special:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
-def detection_to_record(d: Detection) -> dict:
-    return {
-        "image_id": d.image_id,
-        "model_id": d.model_id,
-        "class_id": d.class_id,
-        "bbox": [d.box.x1, d.box.y1, d.box.x2, d.box.y2],
-        "score": d.prob,
-    }
-
-
-def record_to_detection(rec: dict) -> Detection:
-    bbox = rec["bbox"]
-    if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-        raise ValueError(f"bbox must have 4 entries, got {bbox!r}")
-    return Detection(
-        box=Box(*(float(v) for v in bbox)),
-        class_id=int(rec["class_id"]),
-        prob=float(rec["score"]),
-        model_id=int(rec["model_id"]),
-        image_id=str(rec["image_id"]),
-    )
+def _lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line of a UTF-8 file."""
+    lineno = 0
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: invalid UTF-8 after line {lineno}: {e.reason}") from None
 
 
 def save_detections(path: str | os.PathLike, detections: Iterable[Detection]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    """Write detections as JSON Lines, in the layout the module docstring gives."""
+    quoted: dict[str, str] = {}  # image_id -> its JSON string
+    with atomic_output(path) as f:
+        write = f.write
         for d in detections:
-            f.write(json.dumps(detection_to_record(d), sort_keys=True))
-            f.write("\n")
+            image_id = quoted.get(d.image_id)
+            if image_id is None:
+                image_id = quoted[d.image_id] = json.dumps(d.image_id)
+            b = d.box
+            # float() because numpy 2 reprs np.float64 as "np.float64(...)"
+            write(
+                f'{{"bbox": [{float(b.x1)!r}, {float(b.y1)!r}, {float(b.x2)!r}, '
+                f'{float(b.y2)!r}], "class_id": {d.class_id:d}, "image_id": {image_id}, '
+                f'"model_id": {d.model_id:d}, "score": {float(d.prob)!r}}}\n'
+            )
+
+
+def _real(v: object) -> float:
+    if type(v) is float:
+        return v
+    if type(v) is not int:  # bool is a subclass of int, not int itself
+        raise ValueError(f"bbox entries and score must be numbers, got {v!r}")
+    return float(v)
+
+
+def _record_to_detection(rec: object) -> Detection:
+    if type(rec) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    try:
+        image_id = rec["image_id"]
+        model_id = rec["model_id"]
+        class_id = rec["class_id"]
+        bbox = rec["bbox"]
+        score = rec["score"]
+    except KeyError as e:
+        raise ValueError(f"missing key {e}") from None
+    if type(image_id) is not str:
+        raise ValueError(f"image_id must be a string, got {image_id!r}")
+    if type(model_id) is not int or type(class_id) is not int:
+        raise ValueError(f"model_id and class_id must be integers, got {model_id!r}, {class_id!r}")
+    if type(bbox) is not list or len(bbox) != 4:
+        raise ValueError(f"bbox must be a list of 4 numbers, got {bbox!r}")
+    x1, y1, x2, y2 = bbox
+    if not (
+        type(x1) is float and type(y1) is float and type(x2) is float
+        and type(y2) is float and type(score) is float
+    ):
+        x1, y1, x2, y2, score = (_real(v) for v in (x1, y1, x2, y2, score))
+    return Detection(Box(x1, y1, x2, y2), class_id, score, model_id, image_id)
 
 
 def load_detections(path: str | os.PathLike) -> list[Detection]:
+    """Read a detection record file; see the module docstring for what it accepts."""
     out: list[Detection] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                missing = [k for k in DETECTION_KEYS if k not in rec]
-                if missing:
-                    raise ValueError(f"missing keys {missing}")
-                out.append(record_to_detection(rec))
-            except (ValueError, TypeError, KeyError) as e:
-                raise ParseError(f"{path}:{lineno}: bad detection record: {e}") from e
+    for lineno, line in _lines(path):
+        try:
+            out.append(_record_to_detection(json.loads(line)))
+        except (ValueError, OverflowError, RecursionError) as e:
+            raise ParseError(f"{path}:{lineno}: bad detection record: {e}") from e
     return out
 
 
@@ -80,20 +161,16 @@ def save_annotations(path: str | os.PathLike, anns: Iterable[GroundTruthRecord])
 
 def load_annotations(path: str | os.PathLike, image_id: str) -> list[GroundTruthRecord]:
     out: list[GroundTruthRecord] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            try:
-                class_id = int(parts[0])
-                box = Box(*(float(v) for v in parts[1:]))
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: bad annotation record: {e}") from e
-            out.append(GroundTruthRecord(image_id, class_id, box))
+    for lineno, line in _lines(path):
+        parts = line.split()
+        if len(parts) != 5:
+            raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+        class_id, x1, y1, x2, y2 = parts
+        try:
+            box = Box(float(x1), float(y1), float(x2), float(y2))
+            out.append(GroundTruthRecord(image_id, int(class_id), box))
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: bad annotation record: {e}") from e
     return out
 
 
@@ -106,17 +183,13 @@ def read_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
     """Read ``image_path annotation_path`` pairs, resolved against the manifest dir."""
     base = os.path.dirname(os.path.abspath(path))
     out: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 paths, got {len(parts)}")
-            out.append(
-                tuple(p if os.path.isabs(p) else os.path.join(base, p) for p in parts)
-            )
+    for lineno, line in _lines(path):
+        if line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 paths, got {len(parts)}")
+        out.append(tuple(p if os.path.isabs(p) else os.path.join(base, p) for p in parts))
     return out
 
 

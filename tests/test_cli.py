@@ -249,3 +249,45 @@ def test_augment_bad_argument_exit_code(tmp_path, capsys, flags, message):
     assert message in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [(b"\xff\xfe\n", "UTF-8"), (b"[" * 100_000 + b"\n", ":1:"), (b'{"image_id": 5}\n', ":1:")],
+    ids=["invalid-utf8", "deep-nesting", "bad-record"],
+)
+def test_fuse_hostile_input_exit_code(tmp_path, capsys, content, where):
+    f1 = tmp_path / "m1.jsonl"
+    f1.write_bytes(content)
+    out = tmp_path / "fused.jsonl"
+    assert main(["fuse", str(f1), "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(f1) in err and where in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["m1.jsonl"]
+
+
+def test_eval_undecodable_annotation_exit_code(tmp_path, capsys):
+    manifest = make_gts(tmp_path, [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))])
+    (tmp_path / "a.txt").write_bytes(b"0 0 0 10 10\n\xff\n")
+    preds = tmp_path / "preds.jsonl"
+    save_detections(preds, [Detection(Box(0, 0, 10, 10), 0, 0.9, 0, "a")])
+    assert main(["eval", str(preds), manifest, "--out", str(tmp_path / "report")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "a.txt" in err and "UTF-8" in err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_eval_failing_write_leaves_no_report(tmp_path, monkeypatch):
+    gts = [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))]
+    manifest = make_gts(tmp_path, gts)
+    preds = tmp_path / "preds.jsonl"
+    save_detections(preds, [Detection(Box(0, 0, 10, 10), 0, 0.9, 0, "a")])
+    before = set(os.listdir(tmp_path))
+
+    def disk_full(report):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("detfuse.cli._format_table", disk_full)
+    assert main(["eval", str(preds), manifest, "--out", str(tmp_path / "report")]) == EXIT_IO
+    assert set(os.listdir(tmp_path)) == before

@@ -1,8 +1,15 @@
+import json
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detfuse import Box, Detection, GroundTruthRecord, ParseError
 from detfuse.io import (
+    atomic_output,
     load_annotations,
     load_detections,
     load_ground_truth,
@@ -37,6 +44,51 @@ def test_detection_rewrite_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def record(d):
+    """The detection-file record of one detection, as a dict (test oracle)."""
+    return {
+        "image_id": d.image_id,
+        "model_id": d.model_id,
+        "class_id": d.class_id,
+        "bbox": [d.box.x1, d.box.y1, d.box.x2, d.box.y2],
+        "score": d.prob,
+    }
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-7, 0.1, 1.0]
+coords = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+image_ids = st.one_of(st.sampled_from(['a"b', "back\\slash", "papillon-é", "蝶", "\n\t", ""]), st.text())
+
+
+@st.composite
+def detections(draw):
+    xs = sorted([draw(coords), draw(coords)])
+    ys = sorted([draw(coords), draw(coords)])
+    if draw(st.booleans()):
+        xs, ys = [np.float64(v) for v in xs], [np.float64(v) for v in ys]
+    prob = draw(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-7, 1.0]), st.floats(0.0, 1.0)))
+    return Detection(
+        Box(xs[0], ys[0], xs[1], ys[1]),
+        draw(st.integers(0, 2**40)),
+        prob,
+        draw(st.integers(-(2**40), 2**40)),
+        draw(image_ids),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(dets=st.lists(detections(), max_size=5))
+def test_save_matches_json_dumps_and_round_trips(tmp_path_factory, dets):
+    path = tmp_path_factory.getbasetemp() / "prop_dets.jsonl"
+    save_detections(path, dets)
+    expected = "".join(json.dumps(record(d), sort_keys=True) + "\n" for d in dets)
+    assert path.read_bytes() == expected.encode("ascii")
+    assert load_detections(path) == dets
+
+
 def test_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"image_id": "a", "model_id": 0, "class_id": 1, "bbox": [0,0,1,1], "score": 0.5}\nnot json\n')
@@ -56,6 +108,182 @@ def test_invalid_score_rejected(tmp_path):
     path.write_text('{"image_id": "a", "model_id": 0, "class_id": 1, "bbox": [0,0,1,1], "score": 1.5}\n')
     with pytest.raises(ParseError):
         load_detections(path)
+
+
+GOOD = {"image_id": "a", "model_id": 0, "class_id": 1, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("class_id", 1.7),
+        ("class_id", 1.0),
+        ("class_id", True),
+        ("class_id", "1"),
+        ("model_id", 2.5),
+        ("model_id", False),
+        ("image_id", 5),
+        ("image_id", None),
+        ("bbox", [0.0, "0", 1.0, 1.0]),
+        ("bbox", [0.0, 0.0, True, 1.0]),
+        ("bbox", [0.0, 0.0, 1.0]),
+        ("bbox", "0 0 1 1"),
+        ("bbox", [0.0, 0.0, 1.0, 10**400]),
+        ("score", "0.5"),
+        ("score", True),
+        ("score", None),
+    ],
+)
+def test_wrong_record_types_rejected(tmp_path, field, value):
+    path = tmp_path / "bad.jsonl"
+    rec = dict(GOOD, **{field: value})
+    path.write_text(json.dumps(GOOD) + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(ParseError, match=r"bad\.jsonl:2:"):
+        load_detections(path)
+
+
+def test_integer_coordinates_and_score_accepted(tmp_path):
+    path = tmp_path / "ints.jsonl"
+    path.write_text(json.dumps(dict(GOOD, bbox=[0, 1, 2, 3], score=1)) + "\n")
+    [d] = load_detections(path)
+    assert d.box.as_tuple() == (0.0, 1.0, 2.0, 3.0) and d.prob == 1.0
+    assert all(type(v) is float for v in (*d.box.as_tuple(), d.prob))
+
+
+def test_non_object_line_rejected(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ParseError, match=":1:.*JSON object"):
+        load_detections(path)
+
+
+def test_deep_nesting_is_parse_error(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text(json.dumps(GOOD) + "\n" + "[" * 100_000 + "\n")
+    with pytest.raises(ParseError, match=":2:"):
+        load_detections(path)
+
+
+@pytest.mark.parametrize("load", [load_detections, lambda p: load_annotations(p, "x"), read_manifest])
+def test_invalid_utf8_is_parse_error(tmp_path, load):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(ParseError, match="bin.txt.*UTF-8"):
+        load(path)
+
+
+def test_failed_save_leaves_no_file(tmp_path):
+    def failing():
+        yield from sample_detections()
+        raise RuntimeError("detector crashed")
+
+    with pytest.raises(RuntimeError):
+        save_detections(tmp_path / "out.jsonl", failing())
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    save_detections(path, sample_detections())
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        save_detections(path, [*sample_detections(), "not a detection"])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+def test_save_through_symlink_keeps_link(tmp_path):
+    (tmp_path / "real.jsonl").write_text("old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to("real.jsonl")
+    save_detections(link, sample_detections())
+    assert link.is_symlink()
+    assert load_detections(tmp_path / "real.jsonl") == sample_detections()
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "real.jsonl"]
+
+
+def test_save_to_fifo_writes_through(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    with atomic_output(fifo) as f:
+        f.write("through the pipe\n")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [b"through the pipe\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner, max_size=5),
+    max_leaves=10,
+)
+near_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "image_id": st.one_of(st.text(max_size=5), json_values),
+        "model_id": st.one_of(st.integers(-3, 3), json_values),
+        "class_id": st.one_of(st.integers(-3, 3), json_values),
+        "bbox": st.one_of(st.lists(st.one_of(st.floats(), st.integers()), min_size=3, max_size=5), json_values),
+        "score": st.one_of(st.floats(), json_values),
+    },
+)
+detection_lines = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.one_of(near_records, json_values).map(json.dumps), max_size=4).map(
+        lambda lines: "\n".join(lines).encode("utf-8")
+    ),
+)
+
+
+def _load_or_parse_error(load, path):
+    try:
+        return load(path)
+    except ParseError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=detection_lines)
+def test_detection_loader_fuzz(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_d.jsonl"
+    path.write_bytes(data)
+    result = _load_or_parse_error(load_detections, path)
+    assert result is None or all(isinstance(d, Detection) for d in result)
+
+
+annotation_lines = st.one_of(
+    st.binary(max_size=200),
+    st.lists(
+        st.lists(
+            st.one_of(st.sampled_from(["0", "-1", "1.5", "nan", "inf", "1e400", "٣", "x"]), st.text(max_size=4)),
+            max_size=6,
+        ).map(" ".join),
+        max_size=4,
+    ).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=annotation_lines)
+def test_annotation_loader_fuzz(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_a.txt"
+    path.write_bytes(data)
+    result = _load_or_parse_error(lambda p: load_annotations(p, "img"), path)
+    assert result is None or all(isinstance(a, GroundTruthRecord) for a in result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200), st.text(max_size=60).map(lambda t: t.encode("utf-8", "surrogatepass"))))
+def test_manifest_reader_fuzz(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz_m.txt"
+    path.write_bytes(data)
+    result = _load_or_parse_error(read_manifest, path)
+    assert result is None or all(len(e) == 2 for e in result)
 
 
 def test_annotation_roundtrip(tmp_path):
