@@ -6,6 +6,17 @@ extent and fill uncovered pixels with black; a box is replaced by the
 axis-aligned bounding box of its rotated corners, clipped to the new canvas.
 Rotations by multiples of 90 degrees are exact pixel permutations; other
 angles use bilinear resampling.
+
+The pixel kernels are exact: each works on whole arrays yet gives every
+output byte the value of its per-pixel float64 formula, evaluated in this
+order (each result rounded half up, ``floor(x + 0.5)``):
+
+- bilinear rotation: source position ``(cx + u*cos) + v*sin - 0.5`` and
+  ``(cy - u*sin) + v*cos - 0.5``; tap weight ``wx * wy``; the four taps
+  summed as ``((p00*w00 + p01*w01) + p10*w10) + p11*w11``;
+- color: ``colorsys``-style HSV with hue ``(h / 6) % 1.0``, ``q = v * (1 -
+  s*f)`` and ``t = v * (1 - s*(1 - f))``, then ``x * 255``;
+- blur: exact integer window sum, then ``sum / count``.
 """
 
 from __future__ import annotations
@@ -86,37 +97,53 @@ def _rotation_trig(angle: float) -> tuple[float, float]:
 
 def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
                              nw: int, nh: int) -> np.ndarray:
-    """Inverse-map bilinear resampling with black outside the source."""
+    """Inverse-map bilinear resampling with black outside the source.
+
+    Each output value is ``floor(s + 0.5)`` for the float64 sum
+    ``((p00*w00 + p01*w01) + p10*w10) + p11*w11`` over the taps (dy, dx) in
+    that order, where ``wYX = wx * wy`` multiplies ``1 - tx`` or ``tx`` by
+    ``1 - ty`` or ``ty``. A tap outside the source has weight +0.0, so every
+    term is >= +0.0 and the sum equals one that starts from 0.0.
+    """
     h, w = img.shape[:2]
     cx, cy = w / 2.0, h / 2.0
-    ncx, ncy = nw / 2.0, nh / 2.0
-    ys, xs = np.meshgrid(
-        np.arange(nh, dtype=np.float64) + 0.5,
-        np.arange(nw, dtype=np.float64) + 0.5,
-        indexing="ij",
-    )
-    u = xs - ncx
-    v = ys - ncy
-    # inverse rotation back into source coordinates
-    sx = cx + u * cos + v * sin
-    sy = cy - u * sin + v * cos
-    fx = sx - 0.5
-    fy = sy - 0.5
-    x0 = np.floor(fx).astype(np.int64)
-    y0 = np.floor(fy).astype(np.int64)
+    u = (np.arange(nw, dtype=np.float64) + 0.5) - nw / 2.0  # one row
+    v = ((np.arange(nh, dtype=np.float64) + 0.5) - nh / 2.0)[:, None]  # one column
+    # inverse rotation back into source coordinates, associated as
+    # (cx + u*cos) + v*sin and (cy - u*sin) + v*cos
+    fx = ((cx + u * cos) + v * sin) - 0.5
+    fy = ((cy - u * sin) + v * cos) - 0.5
+    x0 = np.floor(fx)
+    y0 = np.floor(fy)
     tx = fx - x0
     ty = fy - y0
-    out = np.zeros((nh, nw, 3), dtype=np.float64)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xi = x0 + dx
-            yi = y0 + dy
-            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            wgt = (tx if dx else 1.0 - tx) * (ty if dy else 1.0 - ty)
-            sample = np.zeros((nh, nw, 3), dtype=np.float64)
-            sample[valid] = img[yi[valid], xi[valid]]
-            out += sample * (wgt * valid)[..., None]
-    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    wxs = (1.0 - tx, tx)
+    wys = (1.0 - ty, ty)
+    x0 = x0.astype(np.int64)
+    y0 = y0.astype(np.int64)
+    planes = np.ascontiguousarray(np.moveaxis(img, -1, 0)).reshape(3, -1)
+    out = np.empty((3, nh, nw))
+    weight = np.empty((nh, nw))
+    flat = np.empty((nh, nw), dtype=np.int64)
+    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        xi = x0 + dx
+        yi = y0 + dy
+        # a negative index is a huge unsigned one, so one comparison per axis
+        valid = (xi.view(np.uint64) < w) & (yi.view(np.uint64) < h)
+        np.multiply(wxs[dx], wys[dy], out=weight)
+        weight *= valid
+        np.multiply(yi, w, out=flat)
+        flat += xi
+        flat *= valid  # a tap outside gathers pixel 0, weighted +0.0
+        for c in range(3):
+            if dy == dx == 0:
+                np.multiply(planes[c].take(flat), weight, out=out[c])
+            else:
+                out[c] += planes[c].take(flat) * weight
+    # the weights of a pixel sum to 1 within a few ulp: out lies in [0, 255.5)
+    out += 0.5
+    np.floor(out, out=out)
+    return np.ascontiguousarray(np.moveaxis(out.astype(np.uint8), 0, -1))
 
 
 def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
@@ -179,80 +206,115 @@ def mirror_with_boxes(src: AnnotatedImage) -> AnnotatedImage:
     return AnnotatedImage(img, anns)
 
 
-def _rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    maxc = rgb.max(axis=-1)
-    minc = rgb.min(axis=-1)
-    v = maxc
-    delta = maxc - minc
-    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-    safe = np.where(delta > 0, delta, 1.0)
-    rc = (maxc - r) / safe
-    gc = (maxc - g) / safe
-    bc = (maxc - b) / safe
-    h = np.select(
-        [delta == 0, r == maxc, g == maxc],
-        [0.0, bc - gc, 2.0 + rc - bc],
-        default=4.0 + gc - rc,
-    )
-    h = (h / 6.0) % 1.0
-    return h, s, v
+def _to_uint8(x: np.ndarray) -> np.ndarray:
+    """``floor(x * 255 + 0.5)`` as uint8 for x in [0, 1], computed in place."""
+    x *= 255.0
+    x += 0.5
+    np.floor(x, out=x)
+    return x.astype(np.uint8)
 
 
-def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    i = np.floor(h * 6.0)
-    f = h * 6.0 - i
-    i = i.astype(np.int64) % 6
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
+# per hue sector 0..5, the index of each output channel's value in (v, p, q, t)
+_SECTOR_SHIFTS = tuple(
+    np.array(order, dtype=np.uint32) * 8
+    for order in ((0, 2, 1, 1, 3, 0), (3, 0, 0, 2, 1, 1), (1, 1, 3, 0, 0, 2))
+)
 
 
 def adjust_color(img: np.ndarray, saturation: float = 1.0, exposure: float = 1.0) -> np.ndarray:
     """Scale saturation and value in HSV space, clamped to [0, 1].
 
     Factor 1.0 on both axes returns a bit-identical copy; gray pixels are a
-    fixed point of any saturation factor.
+    fixed point of any saturation factor. Each pixel gets the bytes of the
+    per-pixel ``colorsys``-style formulas evaluated in float64 (see the module
+    docstring for the operation order).
     """
     if saturation <= 0 or exposure <= 0:
         raise ValueError("saturation and exposure factors must be positive")
     if saturation == 1.0 and exposure == 1.0:
         return img.copy()
-    rgb = img.astype(np.float64) / 255.0
-    h, s, v = _rgb_to_hsv(rgb)
-    s = np.clip(s * saturation, 0.0, 1.0)
-    v = np.clip(v * exposure, 0.0, 1.0)
-    out = _hsv_to_rgb(h, s, v)
-    return np.clip(np.floor(out * 255.0 + 0.5), 0, 255).astype(np.uint8)
+    r, g, b = np.ascontiguousarray(np.moveaxis(img, -1, 0)) / 255.0
+    maxc = np.maximum(np.maximum(r, g), b)
+    delta = maxc - np.minimum(np.minimum(r, g), b)
+    s = delta / (maxc + (maxc == 0))  # 0 for black
+    safe = delta + (delta == 0)
+    rc = (maxc - r) / safe
+    gc = (maxc - g) / safe
+    bc = (maxc - b) / safe
+    # Hue branch by priority red, green, blue maximum, the lowest written
+    # first; where two channels tie for the maximum both branches give the
+    # same hue. A gray pixel takes the red branch, whose bc - gc is +0.0.
+    h = 4.0 + gc
+    h -= rc
+    np.copyto(h, (2.0 + rc) - bc, where=g == maxc)
+    np.copyto(h, bc - gc, where=r == maxc)
+    # (h / 6) % 1.0, exactly, for h / 6 in [-1/6, 1)
+    h /= 6.0
+    h += h < 0
+    s *= saturation
+    np.clip(s, 0.0, 1.0, out=s)
+    v = maxc
+    v *= exposure
+    np.clip(v, 0.0, 1.0, out=v)
+    f = h
+    f *= 6.0
+    i = np.floor(f)
+    f -= i
+    sector = i.astype(np.uint32)  # below 6 for every 8-bit colour
+    # v, p, q and t lie in [0, 1]
+    vpqt = np.empty((*img.shape[:2], 4), dtype=np.uint8)
+    vpqt[..., 1] = _to_uint8(v * (1.0 - s))
+    vpqt[..., 2] = _to_uint8(v * (1.0 - s * f))
+    vpqt[..., 3] = _to_uint8(v * (1.0 - s * (1.0 - f)))
+    vpqt[..., 0] = _to_uint8(v)
+    # one little-endian word per pixel holds the bytes v, p, q, t; each
+    # channel shifts its sector's byte down
+    words = vpqt.view("<u4")[..., 0]
+    out = np.empty(img.shape, dtype=np.uint8)
+    for c, shifts in enumerate(_SECTOR_SHIFTS):
+        out[..., c] = words >> shifts.take(sector)
+    return out
 
 
 def blur(img: np.ndarray, radius: int) -> np.ndarray:
-    """Box blur averaging the (2r+1)^2 window, normalized by in-bounds count."""
+    """Box blur averaging the (2r+1)^2 window, normalized by in-bounds count.
+
+    Each output byte is ``floor(sum / count + 0.5)`` in float64, where the
+    window sum is an exact int64.
+    """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     if radius == 0:
         return img.copy()
     h, w = img.shape[:2]
-    ii = np.zeros((h + 1, w + 1, 3), dtype=np.int64)
-    ii[1:, 1:] = img.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
-    ys = np.arange(h)
-    xs = np.arange(w)
-    y1 = np.clip(ys - radius, 0, h)
-    y2 = np.clip(ys + radius + 1, 0, h)
-    x1 = np.clip(xs - radius, 0, w)
-    x2 = np.clip(xs + radius + 1, 0, w)
-    sums = (
-        ii[y2[:, None], x2[None, :]]
-        - ii[y1[:, None], x2[None, :]]
-        - ii[y2[:, None], x1[None, :]]
-        + ii[y1[:, None], x1[None, :]]
-    )
-    counts = ((y2 - y1)[:, None] * (x2 - x1)[None, :])[..., None]
-    return np.clip(np.floor(sums / counts + 0.5), 0, 255).astype(np.uint8)
+    # a window reaching past both image edges sums the whole axis, so a
+    # radius above the image size pads no further
+    ry, rx = min(radius, h), min(radius, w)
+    # Prefix sums down the rows, padded with ry + 1 zero rows before and ry
+    # copies of the total after: row y's window sum is c[y + 2ry + 1] - c[y].
+    c = np.empty((h + 2 * ry + 1, w, 3), dtype=np.int64)
+    c[: ry + 1] = 0
+    c[ry + 1 : ry + 1 + h] = img
+    for y in range(ry + 2, ry + 1 + h):  # row by row, each add contiguous
+        c[y] += c[y - 1]
+    c[ry + 1 + h :] = c[ry + h]
+    rows = c[2 * ry + 1 :] - c[:h]
+    # the same along the columns of the row sums
+    c = np.empty((h, w + 2 * rx + 1, 3), dtype=np.int64)
+    c[:, : rx + 1] = 0
+    np.cumsum(rows, axis=1, out=c[:, rx + 1 : rx + 1 + w])
+    c[:, rx + 1 + w :] = c[:, rx + w : rx + w + 1]
+    sums = c[:, 2 * rx + 1 :] - c[:, :w]
+
+    def counts(n: int, r: int) -> np.ndarray:
+        i = np.arange(n)
+        return np.minimum(i + r + 1, n) - np.maximum(i - r, 0)
+
+    out = sums / (counts(h, ry)[:, None] * counts(w, rx)).astype(np.float64)[..., None]
+    # sum <= 255 * count, so the mean lies in [0, 255] and needs no clip
+    out += 0.5
+    np.floor(out, out=out)
+    return out.astype(np.uint8)
 
 
 def contrast(img: np.ndarray, factor: float) -> np.ndarray:
@@ -303,7 +365,8 @@ def expand_dataset(
     ``ContractError`` and leaves no derived file. Unreadable inputs are
     recorded and skipped. Alongside the derived images and annotation files
     the output directory receives ``manifest.txt`` and a ``provenance.txt``
-    mapping each derived image to its source.
+    mapping each derived image to its source; these two are written
+    atomically, once every derived file exists.
 
     Variants are emitted in the order rotation, saturation, exposure, mirror,
     blur radius, contrast, and each transform prefix is computed once per
@@ -375,9 +438,7 @@ def expand_dataset(
     manifest_out = os.path.join(out_dir, "manifest.txt")
     write_manifest(manifest_out, entries)
     provenance_out = os.path.join(out_dir, "provenance.txt")
-    with open(provenance_out, "w", encoding="utf-8", newline="\n") as f:
-        for derived, source in provenance:
-            f.write(f"{derived} {source}\n")
+    write_manifest(provenance_out, provenance)  # "derived source" lines
     return ExpansionResult(
         manifest_path=manifest_out,
         provenance_path=provenance_out,

@@ -23,11 +23,13 @@ the line (for text that is not UTF-8, the last line read before it).
 
 Annotation files carry one ``class_id x1 y1 x2 y2`` record per line. A
 manifest lists ``image_path annotation_path`` pairs, resolved relative to
-the manifest's directory. Images are binary PPM (P6, maxval 255).
+the manifest's directory; ``load_ground_truth`` requires the image stems of
+one manifest to be distinct. Images are binary PPM (P6, maxval 255, width
+and height at least 1).
 
-Detection files and evaluation reports are written to a temporary file
-beside the target and moved into place when complete, so a failing writer
-leaves the previous file, or none, rather than a partial one.
+Detection files, manifests and evaluation reports are written to a
+temporary file beside the target and moved into place when complete, so a
+failing writer leaves the previous file, or none, rather than a partial one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ContractError, ParseError
 from .evaluation import GroundTruthRecord
 from .fusion import Detection
 from .geometry import Box
@@ -194,16 +196,29 @@ def read_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
 
 
 def write_manifest(path: str | os.PathLike, entries: Iterable[tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    """Write one ``first second`` line per pair, atomically."""
+    with atomic_output(path) as f:
         for image_path, ann_path in entries:
             f.write(f"{image_path} {ann_path}\n")
 
 
 def load_ground_truth(manifest_path: str | os.PathLike) -> list[GroundTruthRecord]:
-    """Load every annotation file named by a manifest."""
+    """Load every annotation file named by a manifest.
+
+    Records are keyed by image stem, so two entries with one stem (such as
+    ``a/img.ppm`` and ``b/img.ppm``) raise ContractError rather than merge.
+    """
     out: list[GroundTruthRecord] = []
+    seen: dict[str, str] = {}  # stem -> image path
     for image_path, ann_path in read_manifest(manifest_path):
-        out.extend(load_annotations(ann_path, image_id_from_path(image_path)))
+        stem = image_id_from_path(image_path)
+        if stem in seen:
+            raise ContractError(
+                f"{manifest_path}: image stem {stem!r} is listed twice "
+                f"({seen[stem]} and {image_path})"
+            )
+        seen[stem] = image_path
+        out.extend(load_annotations(ann_path, stem))
     return out
 
 
@@ -239,6 +254,8 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
             raise ParseError(f"{path}: bad PPM header token: {e}") from e
     pos += 1  # single whitespace after maxval
     width, height, maxval = tokens
+    if width < 1 or height < 1:
+        raise ParseError(f"{path}: PPM dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise ParseError(f"{path}: only maxval 255 is supported, got {maxval}")
     n = width * height * 3

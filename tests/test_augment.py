@@ -6,10 +6,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import detfuse.augment
+import detfuse.io
 from detfuse import (
     AnnotatedImage,
     AugmentSpec,
@@ -213,6 +214,184 @@ class TestMirrorCommutes:
         assert np.array_equal(contrast(img[:, ::-1], factor), contrast(img, factor)[:, ::-1])
 
 
+# Reference kernels: the straightforward full-array forms of the pixel
+# transforms. The library kernels must reproduce their bytes exactly.
+
+
+def reference_rotate_pixels(img, sin, cos, nw, nh):
+    h, w = img.shape[:2]
+    cx, cy = w / 2.0, h / 2.0
+    ncx, ncy = nw / 2.0, nh / 2.0
+    ys, xs = np.meshgrid(
+        np.arange(nh, dtype=np.float64) + 0.5,
+        np.arange(nw, dtype=np.float64) + 0.5,
+        indexing="ij",
+    )
+    u = xs - ncx
+    v = ys - ncy
+    sx = cx + u * cos + v * sin
+    sy = cy - u * sin + v * cos
+    fx = sx - 0.5
+    fy = sy - 0.5
+    x0 = np.floor(fx).astype(np.int64)
+    y0 = np.floor(fy).astype(np.int64)
+    tx = fx - x0
+    ty = fy - y0
+    out = np.zeros((nh, nw, 3), dtype=np.float64)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            xi = x0 + dx
+            yi = y0 + dy
+            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            wgt = (tx if dx else 1.0 - tx) * (ty if dy else 1.0 - ty)
+            sample = np.zeros((nh, nw, 3), dtype=np.float64)
+            sample[valid] = img[yi[valid], xi[valid]]
+            out += sample * (wgt * valid)[..., None]
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+def reference_adjust_color(img, saturation, exposure):
+    rgb = img.astype(np.float64) / 255.0
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    maxc = rgb.max(axis=-1)
+    minc = rgb.min(axis=-1)
+    v = maxc
+    delta = maxc - minc
+    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+    safe = np.where(delta > 0, delta, 1.0)
+    rc = (maxc - r) / safe
+    gc = (maxc - g) / safe
+    bc = (maxc - b) / safe
+    h = np.select(
+        [delta == 0, r == maxc, g == maxc],
+        [0.0, bc - gc, 2.0 + rc - bc],
+        default=4.0 + gc - rc,
+    )
+    h = (h / 6.0) % 1.0
+    s = np.clip(s * saturation, 0.0, 1.0)
+    v = np.clip(v * exposure, 0.0, 1.0)
+    i = np.floor(h * 6.0)
+    f = h * 6.0 - i
+    i = i.astype(np.int64) % 6
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    out = np.stack(
+        [
+            np.choose(i, [v, q, p, p, t, v]),
+            np.choose(i, [t, v, v, q, p, p]),
+            np.choose(i, [p, p, t, v, v, q]),
+        ],
+        axis=-1,
+    )
+    return np.clip(np.floor(out * 255.0 + 0.5), 0, 255).astype(np.uint8)
+
+
+def reference_blur(img, radius):
+    if radius == 0:
+        return img.copy()
+    h, w = img.shape[:2]
+    ii = np.zeros((h + 1, w + 1, 3), dtype=np.int64)
+    ii[1:, 1:] = img.astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+    ys = np.arange(h)
+    xs = np.arange(w)
+    y1 = np.clip(ys - radius, 0, h)
+    y2 = np.clip(ys + radius + 1, 0, h)
+    x1 = np.clip(xs - radius, 0, w)
+    x2 = np.clip(xs + radius + 1, 0, w)
+    sums = (
+        ii[y2[:, None], x2[None, :]]
+        - ii[y1[:, None], x2[None, :]]
+        - ii[y2[:, None], x1[None, :]]
+        + ii[y1[:, None], x1[None, :]]
+    )
+    counts = ((y2 - y1)[:, None] * (x2 - x1)[None, :])[..., None]
+    return np.clip(np.floor(sums / counts + 0.5), 0, 255).astype(np.uint8)
+
+
+def _rotate_both(img, angle):
+    """(library, reference) bilinear rotation on the canvas rotate_with_boxes uses."""
+    sin, cos = detfuse.augment._rotation_trig(angle)
+    h, w = img.shape[:2]
+    nw = math.ceil(w * abs(cos) + h * abs(sin))
+    nh = math.ceil(w * abs(sin) + h * abs(cos))
+    return (
+        detfuse.augment._rotate_pixels_arbitrary(img, sin, cos, nw, nh),
+        reference_rotate_pixels(img, sin, cos, nw, nh),
+    )
+
+
+class TestKernelsMatchReference:
+    images = arrays(
+        np.uint8,
+        st.tuples(st.integers(1, 17), st.integers(1, 17), st.just(3)),
+    )
+    factors = st.floats(0.05, 4.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(images, st.floats(0.0, 360.0, exclude_max=True))
+    @example(np.arange(5 * 7 * 3, dtype=np.uint8).reshape(5, 7, 3), 89.999)
+    @example(np.full((3, 4, 3), 255, np.uint8), 1e-9)
+    def test_rotation(self, img, angle):
+        got, expected = _rotate_both(img, angle)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(images, factors, factors)
+    def test_adjust_color(self, img, saturation, exposure):
+        assert np.array_equal(
+            adjust_color(img, saturation, exposure),
+            reference_adjust_color(img, saturation, exposure),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(images, st.integers(0, 40))
+    def test_blur(self, img, radius):
+        assert np.array_equal(blur(img, radius), reference_blur(img, radius))
+
+    @pytest.mark.parametrize("saturation, exposure", [(1.5, 1.0), (0.7, 1.3), (1.0, 3.0)])
+    def test_adjust_color_color_sweep(self, saturation, exposure):
+        """Every colour whose channels are multiples of 3, ties and grays included."""
+        levels = np.arange(0, 256, 3, dtype=np.uint8)
+        img = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1)
+        img = img.reshape(len(levels), -1, 3)
+        assert np.array_equal(
+            adjust_color(img, saturation, exposure),
+            reference_adjust_color(img, saturation, exposure),
+        )
+
+    @pytest.mark.parametrize("angle", [1.0, 30.0, 45.0, 137.5, 200.0, 359.9])
+    def test_rotation_full_size(self, angle):
+        img = rand_image(np.random.default_rng(22), 64, 48)
+        got, expected = _rotate_both(img, angle)
+        assert np.array_equal(got, expected)
+
+    def test_rotation_rounding_ties(self):
+        """Small pixel values at these angles put sums exactly on a rounding
+        tie, where the association and order of the float operations show."""
+        rng = np.random.default_rng(25)
+        for _ in range(40):
+            h, w = rng.integers(1, 18, size=2)
+            img = rng.integers(0, 4, size=(h, w, 3), dtype=np.uint8)
+            for angle in (45.0, 120.0, 135.0, 150.0, 225.0, 300.0, 315.0):
+                got, expected = _rotate_both(img, angle)
+                assert np.array_equal(got, expected), (h, w, angle)
+
+    def test_blur_exact_half_mean(self):
+        # one 7 x 14 window over the whole image: 147 / 98 = 1.5 rounds up,
+        # while 147 * (1 / 98) falls just below the tie
+        img = np.ones((7, 14, 3), np.uint8)
+        img[:, ::2] = 2
+        assert np.array_equal(blur(img, 13), np.full_like(img, 2))
+        assert np.array_equal(reference_blur(img, 13), np.full_like(img, 2))
+
+    @pytest.mark.parametrize("radius", [1, 2, 5, 40, 10**9])
+    def test_blur_full_size(self, radius):
+        img = rand_image(np.random.default_rng(23), 64, 48)
+        assert np.array_equal(blur(img, radius), reference_blur(img, radius))
+
+
 class TestSpecValidation:
     def test_bad_rotation(self):
         with pytest.raises(ContractError):
@@ -309,6 +488,28 @@ class TestExpandDataset:
             derived, source = line.split()
             assert source == entries[0][0]
             assert os.path.exists(derived)
+
+    @pytest.mark.parametrize("failing", ["manifest.txt", "provenance.txt"])
+    def test_failing_bookkeeping_write_leaves_no_partial_file(self, tmp_path, monkeypatch, failing):
+        manifest, _ = _write_source(tmp_path, np.random.default_rng(24))
+        out = tmp_path / "out"
+
+        def write_then_fail(path, entries):
+            def first_then_disk_full(pairs):
+                yield pairs[0]
+                raise OSError(28, "No space left on device")
+
+            if os.path.basename(path) == failing:
+                entries = first_then_disk_full(list(entries))
+            detfuse.io.write_manifest(path, entries)
+
+        monkeypatch.setattr(detfuse.augment, "write_manifest", write_then_fail)
+        with pytest.raises(OSError):
+            expand_dataset(manifest, AugmentSpec(rotations=(0.0, 90.0)), out)
+        names = os.listdir(out)
+        assert failing not in names
+        assert not [n for n in names if n.endswith(".tmp")]
+        assert len([n for n in names if n.endswith(".ppm")]) == 4
 
     def test_manifest_roundtrip(self, tmp_path):
         rng = np.random.default_rng(17)

@@ -7,6 +7,7 @@ from detfuse import Box, Detection, GroundTruthRecord
 from detfuse.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, EXIT_PARSE, main
 from detfuse.io import (
     load_detections,
+    read_manifest,
     save_annotations,
     save_detections,
     write_manifest,
@@ -249,6 +250,45 @@ def test_augment_bad_argument_exit_code(tmp_path, capsys, flags, message):
     assert message in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("dims", [b"-1 -1", b"0 5"])
+def test_augment_nonpositive_ppm_is_recorded(tmp_path, capsys, dims):
+    manifest = _augment_manifest(tmp_path)
+    (tmp_path / "a.ppm").write_bytes(b"P6\n" + dims + b"\n255\n" + bytes(3))
+    out_dir = tmp_path / "out"
+    assert main(["augment", manifest, "--rotations", "0,30", "--out", str(out_dir)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "a.ppm" in err and "dimensions" in err
+    assert "Traceback" not in err
+    assert read_manifest(out_dir / "manifest.txt") == []
+    assert sorted(os.listdir(out_dir)) == ["manifest.txt", "provenance.txt"]
+
+
+def _duplicate_stem_manifest(tmp_path):
+    entries = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        write_ppm(tmp_path / sub / "img.ppm", np.zeros((4, 4, 3), np.uint8))
+        save_annotations(tmp_path / sub / "img.txt", [GroundTruthRecord("img", 0, Box(0, 0, 2, 2))])
+        entries.append((f"{sub}/img.ppm", f"{sub}/img.txt"))
+    manifest = tmp_path / "m.txt"
+    write_manifest(manifest, entries)
+    return str(manifest)
+
+
+@pytest.mark.parametrize("command", ["eval", "synth"])
+def test_duplicate_stem_exit_code(tmp_path, capsys, command):
+    manifest = _duplicate_stem_manifest(tmp_path)
+    preds = tmp_path / "preds.jsonl"
+    save_detections(preds, [Detection(Box(0, 0, 2, 2), 0, 0.9, 0, "img")])
+    before = set(os.listdir(tmp_path))
+    argv = ["eval", str(preds), manifest] if command == "eval" else ["synth", manifest]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "'img'" in err and os.path.join("a", "img.ppm") in err and os.path.join("b", "img.ppm") in err
+    assert "Traceback" not in err
+    assert set(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize(

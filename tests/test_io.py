@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detfuse import Box, Detection, GroundTruthRecord, ParseError
+from detfuse import Box, ContractError, Detection, GroundTruthRecord, ParseError
 from detfuse.io import (
     atomic_output,
     load_annotations,
@@ -319,6 +319,27 @@ def test_load_ground_truth(tmp_path):
     assert gts == [GroundTruthRecord("img1", 2, Box(0, 0, 1, 1))]
 
 
+def test_load_ground_truth_rejects_duplicate_stems(tmp_path):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        save_annotations(tmp_path / sub / "img.txt", [GroundTruthRecord("img", 0, Box(0, 0, 1, 1))])
+    write_manifest(tmp_path / "m.txt", [("a/img.ppm", "a/img.txt"), ("b/img.ppm", "b/img.txt")])
+    with pytest.raises(ContractError, match="'img'") as info:
+        load_ground_truth(tmp_path / "m.txt")
+    assert str(tmp_path / "a" / "img.ppm") in str(info.value)
+    assert str(tmp_path / "b" / "img.ppm") in str(info.value)
+
+
+def test_write_manifest_failing_midway_leaves_no_file(tmp_path):
+    def entries():
+        yield ("a.ppm", "a.txt")
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError):
+        write_manifest(tmp_path / "m.txt", entries())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ppm_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
@@ -348,3 +369,45 @@ def test_ppm_wrong_magic(tmp_path):
     path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
     with pytest.raises(ParseError, match="P6"):
         read_ppm(path)
+
+
+@pytest.mark.parametrize("dims", [b"-1 -1", b"0 5", b"5 0", b"-2 3"])
+def test_ppm_nonpositive_dimensions(tmp_path, dims):
+    path = tmp_path / "d.ppm"
+    path.write_bytes(b"P6\n" + dims + b"\n255\n" + bytes(3))
+    with pytest.raises(ParseError, match="dimensions"):
+        read_ppm(path)
+
+
+ppm_tokens = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["-0", "+2", "00", "256", "65535", "1" + "0" * 30, "9" * 5000, "1.5", "x", "\u0663"]),
+)
+ppm_separators = st.sampled_from([b" ", b"\n", b"\t", b"\n# comment\n", b"#", b""])
+
+
+@st.composite
+def near_ppm_files(draw):
+    """A P6 header of three tokens, then a raster near the size they name."""
+    tokens = [draw(ppm_tokens), draw(ppm_tokens), draw(st.one_of(st.just("255"), ppm_tokens))]
+    header = draw(st.sampled_from([b"P6", b"P3", b"P"]))
+    for token in tokens:
+        header += draw(ppm_separators) + token.encode("utf-8")
+    header += draw(ppm_separators)
+    try:
+        expected = max(0, int(tokens[0]) * int(tokens[1]) * 3)
+    except ValueError:
+        expected = 0
+    size = min(draw(st.sampled_from([expected, expected - 1, expected + 1, 0])), 200)
+    return header + bytes(max(size, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=60), near_ppm_files()))
+def test_ppm_reader_fuzz(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ppm"
+    path.write_bytes(data)
+    img = _load_or_parse_error(read_ppm, path)
+    if img is not None:
+        assert img.dtype == np.uint8 and img.ndim == 3
+        assert img.shape[0] >= 1 and img.shape[1] >= 1 and img.shape[2] == 3
