@@ -40,8 +40,8 @@ for o in outcomes:
     points.append((rec, pre))
     print(f"  after {tp + fp} predictions: precision={pre:.4f} recall={rec:.4f}")
 
-result = average_precision(PRCurve(points), n_blocks=10)
-print(f"\nAP over 10 recall blocks = {result.ap!r}  (13/15 = {13 / 15!r})")
+ap = average_precision(PRCurve(points), n_blocks=10)
+print(f"\nAP over 10 recall blocks = {ap!r}  (13/15 = {13 / 15!r})")
 
 report = evaluate_dataset(preds, gts)
 print(f"dataset mAP = {report.mean_ap!r}, detection rate = {report.detection_rate!r}")

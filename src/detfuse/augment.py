@@ -44,6 +44,9 @@ from .io import (
 # exact (sin, cos) for the right-angle rotations
 _EXACT_TRIG = {0: (0.0, 1.0), 90: (1.0, 0.0), 180: (0.0, -1.0), 270: (-1.0, 0.0)}
 
+# longest file name, in bytes, that common file systems hold
+_NAME_MAX = 255
+
 
 @dataclass
 class AnnotatedImage:
@@ -81,8 +84,9 @@ class AugmentSpec:
         if any(not 0 <= a < 360 for a in self.rotations):
             raise ContractError("rotation angles must lie in [0, 360)")
         for f in (*self.saturation_factors, *self.exposure_factors, *self.contrast_factors):
-            if f <= 0:
-                raise ContractError("factors must be positive")
+            # a factor names its files by round(f * 100), which must be finite
+            if not (f > 0 and math.isfinite(f * 100)):
+                raise ContractError(f"factors must be positive and finite, got {f}")
         if any(r < 0 for r in self.blur_radii):
             raise ContractError("blur radii must be non-negative")
 
@@ -154,11 +158,11 @@ def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
     degrees, so four 90-degree rotations compose to the exact identity.
     """
     if not 0 <= angle < 360:
-        raise ValueError(f"angle must be in [0, 360), got {angle}")
+        raise ContractError(f"angle must be in [0, 360), got {angle}")
     img = src.image
     h, w = img.shape[:2]
     sin, cos = _rotation_trig(angle)
-    if float(angle).is_integer() and int(angle) % 90 == 0:
+    if angle in _EXACT_TRIG:
         k = int(angle) // 90
         out_img = np.ascontiguousarray(np.rot90(img, -k))
         nh, nw = out_img.shape[:2]
@@ -230,7 +234,7 @@ def adjust_color(img: np.ndarray, saturation: float = 1.0, exposure: float = 1.0
     docstring for the operation order).
     """
     if saturation <= 0 or exposure <= 0:
-        raise ValueError("saturation and exposure factors must be positive")
+        raise ContractError("saturation and exposure factors must be positive")
     if saturation == 1.0 and exposure == 1.0:
         return img.copy()
     r, g, b = np.ascontiguousarray(np.moveaxis(img, -1, 0)) / 255.0
@@ -283,7 +287,7 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
     window sum is an exact int64.
     """
     if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
+        raise ContractError(f"radius must be non-negative, got {radius}")
     if radius == 0:
         return img.copy()
     h, w = img.shape[:2]
@@ -320,7 +324,7 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
 def contrast(img: np.ndarray, factor: float) -> np.ndarray:
     """Scale each channel about 128 and clamp; factor 1.0 is the identity."""
     if factor <= 0:
-        raise ValueError(f"contrast factor must be positive, got {factor}")
+        raise ContractError(f"contrast factor must be positive, got {factor}")
     if factor == 1.0:
         return img.copy()
     out = (img.astype(np.float64) - 128.0) * factor + 128.0
@@ -361,12 +365,12 @@ def expand_dataset(
     optional mirror/blur/contrast suffixes); the identity combination appears
     exactly once. Every name is planned from the image stems before any
     pixel is read or any file is written, so a collision (two angles that
-    round alike, or one stem in two manifest directories) raises
-    ``ContractError`` and leaves no derived file. Unreadable inputs are
-    recorded and skipped. Alongside the derived images and annotation files
-    the output directory receives ``manifest.txt`` and a ``provenance.txt``
-    mapping each derived image to its source; these two are written
-    atomically, once every derived file exists.
+    round alike, or one stem in two manifest directories) or a name longer
+    than 255 bytes raises ``ContractError`` and leaves no derived file.
+    Unreadable inputs are recorded and skipped. Alongside the derived images
+    and annotation files the output directory receives ``manifest.txt`` and
+    a ``provenance.txt`` mapping each derived image to its source; these two
+    are written atomically, once every derived file exists.
 
     Variants are emitted in the order rotation, saturation, exposure, mirror,
     blur radius, contrast, and each transform prefix is computed once per
@@ -390,6 +394,11 @@ def expand_dataset(
             spec.rotations, colors, mirrors, radii, cfacs
         ):
             name = _variant_name(stem, rot, sat, exp, mirrored, radius, cfac)
+            if len(os.fsencode(name + ".ppm")) > _NAME_MAX:
+                raise ContractError(
+                    f"output name longer than {_NAME_MAX} bytes: {name[:60]}..."
+                    f" (from {image_path})"
+                )
             if name in planned:
                 raise ContractError(
                     f"output name collision: {name} (from {planned[name]} and {image_path})"
@@ -413,7 +422,7 @@ def expand_dataset(
             continue
         boxes_in += len(anns) * n_variants
         for rot in spec.rotations:
-            rotated = rotate_with_boxes(AnnotatedImage(img, list(anns)), rot)
+            rotated = rotate_with_boxes(AnnotatedImage(img, anns), rot)
             for sat, exp in colors:
                 colored = adjust_color(rotated.image, sat, exp)
                 blurred = [blur(colored, radius) for radius in radii]
@@ -424,15 +433,11 @@ def expand_dataset(
                             work = mirror_with_boxes(work)
                         for cfac in cfacs:
                             name = _variant_name(stem, rot, sat, exp, mirrored, radius, cfac)
-                            derived_anns = [
-                                GroundTruthRecord(name, a.class_id, a.box)
-                                for a in work.annotations
-                            ]
-                            boxes_emitted += len(derived_anns)
+                            boxes_emitted += len(work.annotations)
                             img_out = os.path.join(out_dir, name + ".ppm")
                             ann_out = os.path.join(out_dir, name + ".txt")
                             write_ppm(img_out, contrast(work.image, cfac))
-                            save_annotations(ann_out, derived_anns)
+                            save_annotations(ann_out, work.annotations)
                             entries.append((img_out, ann_out))
                             provenance.append((img_out, image_path))
     manifest_out = os.path.join(out_dir, "manifest.txt")

@@ -1,9 +1,11 @@
 """Detection-to-ground-truth matching, precision/recall, AP and mAP.
 
 Matching is greedy by descending confidence with the strict IoU rule
-(IoU > threshold counts as a localization hit). AP uses block
-interpolation: recall is split into n equal closed blocks and each block
-contributes the maximum of the right-max interpolated precision over it.
+(IoU > threshold counts as a localization hit), for a threshold in (0, 1).
+AP uses block interpolation: recall is split into n equal closed blocks and
+each block contributes the maximum of the right-max interpolated precision
+over it; ``average_precision`` returns that AP as a float, and
+``evaluate_dataset`` adds the class's TP, FP and FN counts in ``APResult``.
 
 Each image is matched in one sweep over its predictions that serves both
 the class-aware rule (AP) and the class-agnostic rule (detection rate).
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError
 from .fusion import Detection
-from .geometry import MIN_NORMAL, Box, area, iou
+from .geometry import MIN_NORMAL, Box, area, check_iou_threshold, iou
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,8 @@ class PRCurve:
 
     def __post_init__(self) -> None:
         recalls = [r for r, _ in self.points]
-        if any(b < a for a, b in zip(recalls, recalls[1:])):
+        # `not a <= b` also rejects a NaN between two points
+        if any(not a <= b for a, b in zip(recalls, recalls[1:])):
             raise ContractError("recall must be non-decreasing along the curve")
 
 
@@ -167,6 +170,7 @@ def match_detections(
     and prob). Returns one MatchOutcome per prediction, in input order, plus
     the false-negative count (ground truths left unmatched).
     """
+    check_iou_threshold(iou_threshold)
     image_ids = {p.image_id for p in preds if hasattr(p, "image_id")}
     image_ids |= {g.image_id for g in gts}
     if len(image_ids) > 1:
@@ -183,56 +187,37 @@ def match_detections(
 def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
     """Precision and recall from counts; 0 when the denominator is 0."""
     if tp < 0 or fp < 0 or fn < 0:
-        raise ValueError("counts must be non-negative")
+        raise ContractError("counts must be non-negative")
     pre = tp / (tp + fp) if tp + fp > 0 else 0.0
     rec = tp / (tp + fn) if tp + fn > 0 else 0.0
     return pre, rec
 
 
-def interpolated_precision(curve: PRCurve, r: float) -> float:
-    """Right-max interpolation: max precision over points with recall >= r."""
-    best = 0.0
-    for rec, pre in curve.points:
-        if rec >= r and pre > best:
-            best = pre
-    return best
-
-
-def average_precision(
-    curve: PRCurve,
-    n_blocks: int = 10,
-    *,
-    class_id: int = -1,
-    tp: int = 0,
-    fp: int = 0,
-    fn: int = 0,
-) -> APResult:
-    """Block-interpolated average precision.
+def average_precision(curve: PRCurve, n_blocks: int = 10) -> float:
+    """Block-interpolated average precision of one class's curve.
 
     Recall is divided into ``n_blocks`` equal closed blocks
-    [(i-1)/n, i/n]; each contributes the max of the interpolated precision
-    over the block. Since the interpolated precision is a non-increasing
-    step function, that max is its value at the block's left endpoint. An
-    empty curve yields AP = 0.
+    [(i-1)/n, i/n]; each contributes the max of the right-max interpolated
+    precision (the best precision at recall >= r) over the block. Since
+    that is a non-increasing step function, the max is its value at the
+    block's left endpoint. An empty curve yields AP = 0.
     """
     if n_blocks < 1:
         raise ContractError(f"n_blocks must be >= 1, got {n_blocks}")
     pts = curve.points
     if not pts:
-        return APResult(class_id, 0.0, n_blocks, tp, fp, fn)
+        return 0.0
+    # PRCurve holds recall non-decreasing, so the points are in recall order
     recalls = np.array([r for r, _ in pts])
-    precisions = np.array([p for _, p in pts])
-    order = np.argsort(recalls, kind="stable")
-    r_sorted = recalls[order]
-    # suffix max: best precision at recall >= r_sorted[k]
-    p_suffix = np.maximum.accumulate(precisions[order][::-1])[::-1]
+    # suffix max: best precision at recall >= recalls[k]
+    p_suffix = np.maximum.accumulate(np.array([p for _, p in pts])[::-1])[::-1]
 
     total = 0.0
     for i in range(1, n_blocks + 1):
         lo = (i - 1) / n_blocks
-        k = int(np.searchsorted(r_sorted, lo, side="left"))
-        total += float(p_suffix[k]) if k < len(r_sorted) else 0.0
-    return APResult(class_id, total / n_blocks, n_blocks, tp, fp, fn)
+        k = int(np.searchsorted(recalls, lo, side="left"))
+        total += float(p_suffix[k]) if k < len(recalls) else 0.0
+    return total / n_blocks
 
 
 def mean_ap(per_class: list[APResult]) -> float:
@@ -256,7 +241,9 @@ def evaluate_dataset(
     ground-truth instances get no AP entry but are listed in the report.
     Also reports the class-agnostic localization rate: the fraction of
     ground-truth instances matched by any prediction at the IoU threshold.
+    Raises ContractError unless 0 < iou_threshold < 1 and n_blocks >= 1.
     """
+    check_iou_threshold(iou_threshold)
     if n_blocks < 1:
         raise ContractError(f"n_blocks must be >= 1, got {n_blocks}")
     warnings: list[str] = []
@@ -305,17 +292,8 @@ def evaluate_dataset(
             else:
                 cum_fp += 1
             points.append((cum_tp / npos, cum_tp / (cum_tp + cum_fp)))
-        curve = PRCurve(points)
-        per_class.append(
-            average_precision(
-                curve,
-                n_blocks,
-                class_id=class_id,
-                tp=cum_tp,
-                fp=cum_fp,
-                fn=npos - cum_tp,
-            )
-        )
+        ap = average_precision(PRCurve(points), n_blocks)
+        per_class.append(APResult(class_id, ap, n_blocks, cum_tp, cum_fp, npos - cum_tp))
 
     classes_without_gt = sorted(set(by_class) - set(gt_counts))
     if per_class:

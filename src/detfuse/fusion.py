@@ -25,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import ContractError, DegenerateWeightsError
-from .geometry import MIN_NORMAL, Box, iou
+from .geometry import MIN_NORMAL, Box, check_iou_threshold, iou
 
 # Aggregate probability of a cluster: max member probability divided by the
 # cluster size (the default), or the plain max (for experimentation; the
@@ -47,9 +47,9 @@ class Detection:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.prob <= 1.0:
-            raise ValueError(f"prob must be in [0, 1], got {self.prob}")
+            raise ContractError(f"prob must be in [0, 1], got {self.prob}")
         if self.class_id < 0:
-            raise ValueError(f"class_id must be non-negative, got {self.class_id}")
+            raise ContractError(f"class_id must be non-negative, got {self.class_id}")
 
 
 @dataclass
@@ -157,8 +157,7 @@ def _merge(
     detections: list[Detection], iou_threshold: float, prob_mode: str
 ) -> list[tuple[list[Detection], ClusterSummary]]:
     """Member lists and summaries of one image's clusters, in merge_boxes order."""
-    if not 0.0 < iou_threshold < 1.0:
-        raise ContractError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+    check_iou_threshold(iou_threshold)
     _check_prob_mode(prob_mode)
     if not detections:
         return []

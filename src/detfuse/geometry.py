@@ -6,6 +6,8 @@ import sys
 from dataclasses import dataclass
 from math import isfinite
 
+from .errors import ContractError
+
 # Smallest positive normal float. A union area below it has underflowed to
 # zero or to a subnormal with too few significant bits to divide by.
 MIN_NORMAL = sys.float_info.min
@@ -27,9 +29,9 @@ class Box:
     def __post_init__(self) -> None:
         x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
         if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
-            raise ValueError(f"box coordinates must be finite: {self!r}")
+            raise ContractError(f"box coordinates must be finite: {self!r}")
         if x2 < x1 or y2 < y1:
-            raise ValueError(f"box corners out of order: {self!r}")
+            raise ContractError(f"box corners out of order: {self!r}")
 
     @property
     def width(self) -> float:
@@ -41,6 +43,12 @@ class Box:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
+
+
+def check_iou_threshold(iou_threshold: float) -> None:
+    """Reject an IoU threshold outside the open interval (0, 1), NaN included."""
+    if not 0.0 < iou_threshold < 1.0:
+        raise ContractError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
 
 
 def area(b: Box) -> float:

@@ -267,7 +267,7 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
 
 def write_ppm(path: str | os.PathLike, img: np.ndarray) -> None:
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
-        raise ValueError(f"expected (h, w, 3) uint8 image, got {img.shape} {img.dtype}")
+        raise ContractError(f"expected (h, w, 3) uint8 image, got {img.shape} {img.dtype}")
     h, w = img.shape[:2]
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))

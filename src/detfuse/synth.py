@@ -12,6 +12,7 @@ image id, so per-image generation order never affects results.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
@@ -25,13 +26,18 @@ from .geometry import Box, iou
 # spurious boxes stay low-confidence so ranking can suppress them
 FP_CONF_RANGE = (0.05, 0.5)
 
+# Largest mean number of spurious boxes per image and model. The Poisson draw
+# allocates that many boxes, so an unbounded rate could exhaust memory.
+MAX_FP_RATE = 1000.0
+
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Error model of one synthetic detector.
 
     conf_calibration is (slope, noise sigma): reported confidence is
-    clamp(slope * IoU(jittered, gt) + gaussian noise, 0, 1).
+    clamp(slope * IoU(jittered, gt) + gaussian noise, 0, 1). Every parameter
+    must be finite, fp_rate at most MAX_FP_RATE and the seed non-negative.
     """
 
     jitter_sigma: float = 0.0
@@ -46,10 +52,21 @@ class NoiseModel:
             raise ContractError("drop_rate must be in [0, 1]")
         if not 0.0 <= self.misclass_rate <= 1.0:
             raise ContractError("misclass_rate must be in [0, 1]")
-        if self.jitter_sigma < 0 or self.fp_rate < 0:
-            raise ContractError("jitter_sigma and fp_rate must be non-negative")
-        if self.conf_calibration[1] < 0:
-            raise ContractError("confidence noise sigma must be non-negative")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise ContractError(
+                f"jitter_sigma must be finite and non-negative, got {self.jitter_sigma}"
+            )
+        if not 0.0 <= self.fp_rate <= MAX_FP_RATE:
+            raise ContractError(f"fp_rate must be in [0, {MAX_FP_RATE}], got {self.fp_rate}")
+        slope, sigma = self.conf_calibration
+        if not math.isfinite(slope):
+            raise ContractError(f"confidence slope must be finite, got {slope}")
+        if not 0.0 <= sigma < math.inf:
+            raise ContractError(
+                f"confidence noise sigma must be finite and non-negative, got {sigma}"
+            )
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
 
 
 def _image_stream(seed: int, image_id: str) -> np.random.Generator:
@@ -71,9 +88,12 @@ def generate_model_detections(
     flip the class label to a random wrong one with misclass_rate (no-op
     when only one class exists). Per image, Poisson(fp_rate) spurious
     uniform boxes are added with confidence uniform in [0.05, 0.5]. The
-    output is fully deterministic given the noise seed.
+    output is fully deterministic given the noise seed. The image size must
+    be finite and positive.
     """
     width, height = image_size
+    if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+        raise ContractError(f"image_size must be finite and positive, got {width}x{height}")
     classes = sorted({g.class_id for g in gts})
     by_image: dict[str, list[GroundTruthRecord]] = defaultdict(list)
     for g in gts:

@@ -67,7 +67,7 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         if self.lambda_coord < 0 or self.lambda_noobj < 0:
-            raise ValueError("loss weights must be non-negative")
+            raise ContractError("loss weights must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,31 @@ TargetGrid = Sequence[Sequence[CellBoxTarget]]
 
 
 def _check_layout(grid: Grid, targets: TargetGrid) -> None:
+    """Congruent cells, one class count across the grid, and a responsible
+    target's class among the predicted ones."""
     if len(grid) != len(targets):
         raise ContractError(
             f"prediction grid has {len(grid)} cells, targets {len(targets)}"
         )
+    n_classes = None
     for ci, (preds, tgts) in enumerate(zip(grid, targets)):
         if len(preds) != len(tgts):
             raise ContractError(
                 f"cell {ci}: {len(preds)} predictions vs {len(tgts)} targets"
             )
+        for p, t in zip(preds, tgts):
+            if n_classes is None:
+                n_classes = len(p.class_probs)
+            elif len(p.class_probs) != n_classes:
+                raise ContractError(
+                    f"cell {ci}: {len(p.class_probs)} class probabilities, "
+                    f"expected {n_classes} as in the first prediction"
+                )
+            if t.responsible and not 0 <= t.target_class < n_classes:
+                raise ContractError(
+                    f"cell {ci}: target_class {t.target_class} outside the "
+                    f"{n_classes} predicted classes"
+                )
 
 
 def yolo_loss(
@@ -112,7 +128,7 @@ def yolo_loss(
 ) -> LossBreakdown:
     """Compute the loss decomposition over a grid of box predictions.
 
-    Raises ContractError on layout mismatch and ValueError when a
+    Raises ContractError on a layout or class-count mismatch and when a
     responsible prediction has negative width or height (square root
     undefined).
     """
@@ -126,9 +142,7 @@ def yolo_loss(
         for p, t in zip(preds, tgts):
             if t.responsible:
                 if p.w < 0 or p.h < 0:
-                    raise ValueError(
-                        "responsible prediction has negative width/height"
-                    )
+                    raise ContractError("responsible prediction has negative width/height")
                 err_center += (p.x - t.x) ** 2 + (p.y - t.y) ** 2
                 err_wh += (math.sqrt(p.w) - math.sqrt(t.w)) ** 2
                 err_wh += (math.sqrt(p.h) - math.sqrt(t.h)) ** 2
@@ -160,7 +174,7 @@ def yolo_loss_grad(
         for p, t in zip(preds, tgts):
             if t.responsible:
                 if p.w <= 0 or p.h <= 0:
-                    raise ValueError(
+                    raise ContractError(
                         "gradient undefined at w <= 0 or h <= 0 for a responsible box"
                     )
                 gx = lc * 2.0 * (p.x - t.x)

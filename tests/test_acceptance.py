@@ -116,7 +116,7 @@ def test_criterion_2_summary_numeric_fidelity():
 
 def test_criterion_3_ap_worked_example():
     curve = PRCurve([(0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3)])
-    ap = average_precision(curve, 10).ap
+    ap = average_precision(curve, 10)
     assert abs(ap - 13 / 15) < 1e-9
     # perfect predictions: AP and mAP exactly 1
     gts = [

@@ -78,9 +78,9 @@ class TestRotation:
 
     def test_invalid_angle(self):
         src = AnnotatedImage(np.zeros((4, 4, 3), np.uint8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             rotate_with_boxes(src, 360)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             rotate_with_boxes(src, -10)
 
     def test_boxes_stay_in_bounds(self):
@@ -153,9 +153,9 @@ class TestColor:
 
     def test_invalid_factors(self):
         img = np.zeros((2, 2, 3), np.uint8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             adjust_color(img, saturation=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             adjust_color(img, exposure=-1.0)
 
 
@@ -185,8 +185,12 @@ class TestBlurContrast:
         assert list(out[0, 0]) == [128, 72, 255]
 
     def test_contrast_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             contrast(np.zeros((2, 2, 3), np.uint8), 0.0)
+
+    def test_blur_invalid(self):
+        with pytest.raises(ContractError):
+            blur(np.zeros((2, 2, 3), np.uint8), -1)
 
 
 class TestMirrorCommutes:
@@ -400,6 +404,17 @@ class TestSpecValidation:
     def test_bad_factor(self):
         with pytest.raises(ContractError):
             AugmentSpec(saturation_factors=(0.0,))
+
+    @pytest.mark.parametrize("axis", ["saturation_factors", "exposure_factors", "contrast_factors"])
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, 1e307])
+    def test_non_finite_factor(self, axis, factor):
+        # 1e307 is finite, but its file-name part round(f * 100) is not
+        with pytest.raises(ContractError, match="finite"):
+            AugmentSpec(**{axis: (factor,)})
+
+    def test_extreme_finite_factors_accepted(self):
+        # too long for a file name, which expand_dataset rejects when planning
+        AugmentSpec(saturation_factors=(1e300,), contrast_factors=(5e-324,))
 
 
 def _write_source(tmp_path, rng, n_images=2, w=24, h=18):

@@ -210,9 +210,36 @@ def test_eval_bad_n_blocks_exit_code(tmp_path, capsys):
     assert not (tmp_path / "report.tsv").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "1", "nan", "1.5"])
+def test_eval_bad_iou_threshold_exit_code(tmp_path, capsys, value):
+    gts = [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))]
+    manifest = make_gts(tmp_path, gts)
+    preds = tmp_path / "preds.jsonl"
+    save_detections(preds, [Detection(Box(0, 0, 10, 10), 0, 0.9, 0, "a")])
+    out = tmp_path / "report"
+    assert main(["eval", str(preds), manifest, f"--iou-eval={value}", "--out", str(out)]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "iou_threshold must be in (0, 1)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.txt").exists()
+    assert not (tmp_path / "report.tsv").exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--models", "0"], "k_models"), (["--drop-rate", "2"], "drop_rate")],
+    [
+        (["--models", "0"], "k_models"),
+        (["--drop-rate", "2"], "drop_rate"),
+        (["--jitter", "nan"], "jitter_sigma"),
+        (["--conf-slope", "nan"], "confidence slope"),
+        (["--conf-noise", "inf"], "noise sigma"),
+        (["--fp-rate", "inf"], "fp_rate"),
+        (["--fp-rate", "1e300"], "fp_rate"),
+        (["--seed", "-1"], "seed"),
+        (["--image-size", "infx10", "--fp-rate", "1"], "image_size"),
+        (["--image-size", "0x0"], "image_size"),
+        (["--image-size", "nanx10"], "image_size"),
+    ],
 )
 def test_synth_bad_argument_exit_code(tmp_path, capsys, flags, message):
     manifest = make_gts(tmp_path, [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))])
@@ -240,6 +267,11 @@ def _augment_manifest(tmp_path):
         (["--rotations", "400"], "rotation"),
         (["--saturations", "0"], "positive"),
         (["--rotations", "30,30.2"], "collision: a_r030_s100_e100"),
+        (["--contrasts", "nan"], "finite"),
+        (["--contrasts", "inf"], "finite"),
+        (["--saturations", "nan"], "finite"),
+        (["--exposures", "inf"], "finite"),
+        (["--contrasts", "1e300"], "longer than 255 bytes"),
     ],
 )
 def test_augment_bad_argument_exit_code(tmp_path, capsys, flags, message):

@@ -14,7 +14,7 @@ from detfuse import (
     mean_ap,
     precision_recall,
 )
-from detfuse.evaluation import APResult, interpolated_precision
+from detfuse.evaluation import APResult
 
 from oracles import brute_force_evaluate
 
@@ -75,6 +75,14 @@ class TestMatching:
         with pytest.raises(ContractError):
             match_detections([det((0, 0, 1, 1), image_id="a")], [gt((0, 0, 1, 1), image_id="b")])
 
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.0, 1.5, float("nan")])
+    def test_threshold_outside_open_unit_interval_rejected(self, threshold):
+        # the rule and message fusion applies to its own threshold
+        with pytest.raises(ContractError, match=r"iou_threshold must be in \(0, 1\)"):
+            match_detections([det((0, 0, 10, 10))], [gt((0, 0, 10, 10))], threshold)
+        with pytest.raises(ContractError, match=r"iou_threshold must be in \(0, 1\)"):
+            evaluate_dataset([det((0, 0, 10, 10))], [gt((0, 0, 10, 10))], threshold)
+
     def test_underflowing_boxes_match(self):
         # both areas underflow to 0; the IoU of identical boxes is still 1
         tiny = (0.0, 0.0, 1.3279261924115152e-168, 2.6408222023612193e-157)
@@ -92,37 +100,39 @@ class TestPrecisionRecall:
         assert precision_recall(tp, fp, fn) == (pre, rec)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             precision_recall(-1, 0, 0)
 
 
 class TestAveragePrecision:
     def test_perfect_curve(self):
         curve = PRCurve([(0.5, 1.0), (1.0, 1.0)])
-        assert average_precision(curve, 10).ap == 1.0
+        assert average_precision(curve, 10) == 1.0
 
     def test_no_tp(self):
         curve = PRCurve([(0.0, 0.0), (0.0, 0.0)])
-        assert average_precision(curve, 10).ap == 0.0
+        assert average_precision(curve, 10) == 0.0
 
     def test_empty_curve(self):
-        assert average_precision(PRCurve([]), 10).ap == 0.0
+        assert average_precision(PRCurve([]), 10) == 0.0
 
     def test_worked_example(self):
         # 2 GT, ranked TP, FP, TP: blocks 1-6 see precision 1, blocks 7-10 see 2/3
         curve = PRCurve([(0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3)])
-        assert average_precision(curve, 10).ap == pytest.approx(13 / 15, abs=1e-9)
+        assert average_precision(curve, 10) == pytest.approx(13 / 15, abs=1e-9)
 
     def test_recall_monotonicity_enforced(self):
         with pytest.raises(ContractError):
             PRCurve([(0.5, 1.0), (0.4, 1.0)])
 
-    def test_interpolated_precision_right_max(self):
-        curve = PRCurve([(0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3)])
-        assert interpolated_precision(curve, 0.0) == 1.0
-        assert interpolated_precision(curve, 0.5) == 1.0
-        assert interpolated_precision(curve, 0.51) == pytest.approx(2 / 3)
-        assert interpolated_precision(curve, 1.01) == 0.0
+    def test_nan_recall_rejected(self):
+        # a NaN compares false both ways, so it must not pass as "not decreasing"
+        with pytest.raises(ContractError):
+            PRCurve([(0.5, 1.0), (float("nan"), 1.0), (0.3, 1.0)])
+
+    def test_returns_a_float(self):
+        assert type(average_precision(PRCurve([(0.5, 1.0)]), 4)) is float
+        assert type(average_precision(PRCurve([]), 4)) is float
 
     def test_large_n_converges_to_curve_area(self):
         rng = random.Random(5)
@@ -138,7 +148,7 @@ class TestAveragePrecision:
                 points.append((tp_eff / npos, tp_eff / (tp_eff + fp)))
             curve = PRCurve(points)
             area = _step_area(points)
-            ap = average_precision(curve, 10_000).ap
+            ap = average_precision(curve, 10_000)
             assert abs(ap - area) < 1e-3
 
 

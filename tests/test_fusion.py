@@ -22,6 +22,15 @@ def det(box, class_id=0, prob=0.5, model_id=0, image_id="img"):
     return Detection(Box(*box), class_id, prob, model_id, image_id)
 
 
+def test_detection_validation():
+    with pytest.raises(ContractError, match="prob"):
+        Detection(Box(0, 0, 1, 1), 0, 1.5)
+    with pytest.raises(ContractError, match="prob"):
+        Detection(Box(0, 0, 1, 1), 0, float("nan"))
+    with pytest.raises(ContractError, match="class_id"):
+        Detection(Box(0, 0, 1, 1), -1, 0.5)
+
+
 class TestSummarize:
     def test_singleton_identity(self):
         s = summarize(Cluster([det((0, 0, 10, 10), 3, 0.8)]))

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from detfuse import Box, area, iou
+from detfuse import Box, ContractError, area, iou
 
 # positive extents whose product underflows to 0
 _TINY = Box(0.0, 0.0, 1.3279261924115152e-168, 2.6408222023612193e-157)
@@ -48,13 +48,13 @@ def test_iou_underflowing_area():
 
 
 def test_box_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         Box(2, 0, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         Box(0, 2, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         Box(0, 0, math.inf, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         Box(math.nan, 0, 1, 1)
 
 

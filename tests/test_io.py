@@ -348,6 +348,16 @@ def test_ppm_roundtrip(tmp_path):
     assert np.array_equal(read_ppm(path), img)
 
 
+@pytest.mark.parametrize(
+    "img", [np.zeros((4, 4), np.uint8), np.zeros((4, 4, 4), np.uint8), np.zeros((4, 4, 3))],
+    ids=["2d", "4-channel", "float64"],
+)
+def test_write_ppm_rejects_non_rgb8(tmp_path, img):
+    with pytest.raises(ContractError, match="uint8 image"):
+        write_ppm(tmp_path / "x.ppm", img)
+    assert not (tmp_path / "x.ppm").exists()
+
+
 def test_ppm_with_comments(tmp_path):
     path = tmp_path / "c.ppm"
     raster = bytes(range(2 * 1 * 3))

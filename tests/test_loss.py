@@ -114,11 +114,48 @@ def test_layout_mismatch_rejected():
         yolo_loss(grid, [[CellBoxTarget(), CellBoxTarget()]])
 
 
+@pytest.mark.parametrize("fn", [yolo_loss, yolo_loss_grad])
+def test_mixed_class_counts_rejected(fn):
+    grid = [
+        [CellBoxPrediction(0, 0, 1, 1, 0, (0.5, 0.5))],
+        [CellBoxPrediction(0, 0, 1, 1, 0, (1.0,))],
+    ]
+    targets = [[CellBoxTarget()], [CellBoxTarget()]]
+    with pytest.raises(ContractError, match="class probabilities"):
+        fn(grid, targets)
+
+
+@pytest.mark.parametrize("fn", [yolo_loss, yolo_loss_grad])
+@pytest.mark.parametrize("probs, target_class", [((0.9, 0.1), 5), ((0.9, 0.1), -1), ((), 0)])
+def test_target_class_outside_predicted_classes_rejected(fn, probs, target_class):
+    # target_class 5 of two classes used to count as no hot class (err_class 0.82)
+    grid = [[CellBoxPrediction(0, 0, 1, 1, 0.5, probs)]]
+    targets = [[CellBoxTarget(0, 0, 1, 1, True, 0.5, target_class)]]
+    with pytest.raises(ContractError, match="target_class"):
+        fn(grid, targets)
+
+
+def test_target_class_ignored_on_non_responsible_slot():
+    grid = [[CellBoxPrediction(0, 0, 1, 1, 0.5, (0.9, 0.1))]]
+    targets = [[CellBoxTarget(target_class=5)]]
+    assert yolo_loss(grid, targets).err_class == 0.0
+    assert yolo_loss_grad(grid, targets)[0][0].class_probs == (0.0, 0.0)
+
+
 def test_negative_wh_rejected():
     grid = [[CellBoxPrediction(0, 0, -0.5, 1, 0, (1.0,))]]
     targets = [[CellBoxTarget(0, 0, 1, 1, True, 0.5, 0)]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         yolo_loss(grid, targets)
+    with pytest.raises(ContractError):
+        yolo_loss_grad(grid, targets)
+
+
+def test_negative_weights_rejected():
+    with pytest.raises(ContractError):
+        LossWeights(lambda_coord=-1.0)
+    with pytest.raises(ContractError):
+        LossWeights(lambda_noobj=-0.5)
 
 
 def test_responsible_target_validation():

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from detfuse import (
     Box,
+    ContractError,
     Detection,
     GroundTruthRecord,
     NoiseModel,
@@ -14,6 +16,7 @@ from detfuse import (
     random_ground_truth,
 )
 from detfuse.io import save_detections
+from detfuse.synth import MAX_FP_RATE
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -112,6 +115,42 @@ def test_noise_model_validation():
         NoiseModel(jitter_sigma=-1)
     with pytest.raises(ValueError):
         NoiseModel(conf_calibration=(1.0, -0.1))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"jitter_sigma": math.nan}, "jitter_sigma"),
+        ({"jitter_sigma": math.inf}, "jitter_sigma"),
+        ({"fp_rate": math.nan}, "fp_rate"),
+        ({"fp_rate": math.inf}, "fp_rate"),
+        ({"fp_rate": MAX_FP_RATE * (1 + 1e-15)}, "fp_rate"),
+        ({"conf_calibration": (math.nan, 0.0)}, "slope"),
+        ({"conf_calibration": (-math.inf, 0.0)}, "slope"),
+        ({"conf_calibration": (1.0, math.nan)}, "noise sigma"),
+        ({"conf_calibration": (1.0, math.inf)}, "noise sigma"),
+        ({"drop_rate": math.nan}, "drop_rate"),
+        ({"misclass_rate": math.nan}, "misclass_rate"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+def test_noise_model_rejects_non_finite_and_out_of_range(kwargs, message):
+    with pytest.raises(ContractError, match=message):
+        NoiseModel(**kwargs)
+
+
+def test_fp_rate_bound_is_inclusive():
+    gts = [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))]
+    dets = generate_model_detections(gts, NoiseModel(drop_rate=1.0, fp_rate=MAX_FP_RATE))
+    assert 800 < len(dets) < 1200
+
+
+@pytest.mark.parametrize(
+    "size", [(0.0, 10.0), (10.0, -1.0), (math.nan, 10.0), (10.0, math.inf)]
+)
+def test_image_size_must_be_finite_and_positive(size):
+    with pytest.raises(ContractError, match="image_size"):
+        generate_model_detections(five_box_fixture(), NoiseModel(), image_size=size)
 
 
 def test_spurious_confidence_capped():
