@@ -34,16 +34,16 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
-    detections: list[Detection] = []
-    for path in args.inputs:
-        detections.extend(load_detections(path))
     by_image: dict[str, list[Detection]] = defaultdict(list)
-    for d in detections:
-        by_image[d.image_id].append(d)
+    for path in args.inputs:
+        for d in load_detections(path):
+            by_image[d.image_id].append(d)
     fused: list[Detection] = []
     for image_id in sorted(by_image):
-        summaries = merge_boxes(by_image[image_id], args.iou_fusion, args.prob_mode)
-        print(f"{image_id}: {len(by_image[image_id])} detections -> {len(summaries)} clusters")
+        # popped, so each image's inputs are freed once its clusters are built
+        detections = by_image.pop(image_id)
+        summaries = merge_boxes(detections, args.iou_fusion, args.prob_mode)
+        print(f"{image_id}: {len(detections)} detections -> {len(summaries)} clusters")
         for s in summaries:
             fused.append(Detection(s.box, s.class_id, s.prob, model_id=-1, image_id=image_id))
     save_detections(args.out, fused)

@@ -24,18 +24,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .errors import ContractError
 from .fusion import Detection
 from .geometry import MIN_NORMAL, Box, area, check_iou_threshold, iou
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
+class GroundTruthRecord(Record):
     """One labeled object instance in one image."""
 
+    __slots__ = ("image_id", "class_id", "box")
     image_id: str
     class_id: int
     box: Box
+
+    def __init__(self, image_id: str, class_id: int, box: Box) -> None:
+        _set_gt_image_id(self, image_id)
+        _set_gt_class_id(self, class_id)
+        _set_gt_box(self, box)
+
+
+_set_gt_image_id, _set_gt_class_id, _set_gt_box = (
+    getattr(GroundTruthRecord, n).__set__ for n in GroundTruthRecord.__slots__
+)
 
 
 @dataclass
@@ -82,6 +93,10 @@ class EvaluationReport:
     classes_without_gt: list[int] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
+
+# Largest accepted recall-block count. AP takes one Python step per block
+# and class, so a count far past any curve's resolution only costs time.
+MAX_N_BLOCKS = 10_000
 
 # Predictions per IoU block: enough rows to amortize numpy's per-call cost,
 # few enough that a block of a crowded image stays a small fraction of memory.
@@ -184,6 +199,11 @@ def match_detections(
     return outcomes, fn
 
 
+def _check_n_blocks(n_blocks: int) -> None:
+    if not 1 <= n_blocks <= MAX_N_BLOCKS:
+        raise ContractError(f"n_blocks must be in [1, {MAX_N_BLOCKS}], got {n_blocks}")
+
+
 def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
     """Precision and recall from counts; 0 when the denominator is 0."""
     if tp < 0 or fp < 0 or fn < 0:
@@ -200,10 +220,10 @@ def average_precision(curve: PRCurve, n_blocks: int = 10) -> float:
     [(i-1)/n, i/n]; each contributes the max of the right-max interpolated
     precision (the best precision at recall >= r) over the block. Since
     that is a non-increasing step function, the max is its value at the
-    block's left endpoint. An empty curve yields AP = 0.
+    block's left endpoint. An empty curve yields AP = 0. Raises
+    ContractError unless 1 <= n_blocks <= MAX_N_BLOCKS.
     """
-    if n_blocks < 1:
-        raise ContractError(f"n_blocks must be >= 1, got {n_blocks}")
+    _check_n_blocks(n_blocks)
     pts = curve.points
     if not pts:
         return 0.0
@@ -241,11 +261,11 @@ def evaluate_dataset(
     ground-truth instances get no AP entry but are listed in the report.
     Also reports the class-agnostic localization rate: the fraction of
     ground-truth instances matched by any prediction at the IoU threshold.
-    Raises ContractError unless 0 < iou_threshold < 1 and n_blocks >= 1.
+    Raises ContractError unless 0 < iou_threshold < 1 and
+    1 <= n_blocks <= MAX_N_BLOCKS.
     """
     check_iou_threshold(iou_threshold)
-    if n_blocks < 1:
-        raise ContractError(f"n_blocks must be >= 1, got {n_blocks}")
+    _check_n_blocks(n_blocks)
     warnings: list[str] = []
     preds_by_image: dict[str, list[int]] = defaultdict(list)
     for idx, d in enumerate(preds):

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import ContractError, DegenerateWeightsError
 from .geometry import MIN_NORMAL, Box, check_iou_threshold, iou
 
@@ -35,21 +36,33 @@ PROB_MAX = "max"
 PROB_MODES = (PROB_SCALED_MAX, PROB_MAX)
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(Record):
     """One model's prediction: a box, a class, a probability and a source tag."""
 
+    __slots__ = ("box", "class_id", "prob", "model_id", "image_id")
     box: Box
     class_id: int
     prob: float
-    model_id: int = 0
-    image_id: str = ""
+    model_id: int
+    image_id: str
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.prob <= 1.0:
-            raise ContractError(f"prob must be in [0, 1], got {self.prob}")
-        if self.class_id < 0:
-            raise ContractError(f"class_id must be non-negative, got {self.class_id}")
+    def __init__(
+        self, box: Box, class_id: int, prob: float, model_id: int = 0, image_id: str = ""
+    ) -> None:
+        if not 0.0 <= prob <= 1.0:
+            raise ContractError(f"prob must be in [0, 1], got {prob}")
+        if class_id < 0:
+            raise ContractError(f"class_id must be non-negative, got {class_id}")
+        _set_det_box(self, box)
+        _set_det_class_id(self, class_id)
+        _set_det_prob(self, prob)
+        _set_det_model_id(self, model_id)
+        _set_det_image_id(self, image_id)
+
+
+_set_det_box, _set_det_class_id, _set_det_prob, _set_det_model_id, _set_det_image_id = (
+    getattr(Detection, n).__set__ for n in Detection.__slots__
+)
 
 
 @dataclass
@@ -70,14 +83,25 @@ class Cluster:
         return self.members[0].class_id
 
 
-@dataclass(frozen=True)
-class ClusterSummary:
+class ClusterSummary(Record):
     """Aggregate box, probability and class of a cluster, plus member count."""
 
+    __slots__ = ("box", "prob", "class_id", "support")
     box: Box
     prob: float
     class_id: int
     support: int
+
+    def __init__(self, box: Box, prob: float, class_id: int, support: int) -> None:
+        _set_sum_box(self, box)
+        _set_sum_prob(self, prob)
+        _set_sum_class_id(self, class_id)
+        _set_sum_support(self, support)
+
+
+_set_sum_box, _set_sum_prob, _set_sum_class_id, _set_sum_support = (
+    getattr(ClusterSummary, n).__set__ for n in ClusterSummary.__slots__
+)
 
 
 def _check_prob_mode(prob_mode: str) -> None:

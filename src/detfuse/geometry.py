@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from math import isfinite
 
+from ._record import Record
 from .errors import ContractError
 
 # Smallest positive normal float. A union area below it has underflowed to
@@ -13,25 +13,28 @@ from .errors import ContractError
 MIN_NORMAL = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Axis-aligned rectangle in continuous pixel coordinates.
 
     (x1, y1) is the top-left corner, (x2, y2) the bottom-right corner.
     Coordinates must be finite and ordered (x1 <= x2, y1 <= y2).
     """
 
+    __slots__ = ("x1", "y1", "x2", "y2")
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+    def __init__(self, x1: float, y1: float, x2: float, y2: float) -> None:
         if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
-            raise ContractError(f"box coordinates must be finite: {self!r}")
+            raise ContractError(f"box coordinates must be finite: {self._format(x1, y1, x2, y2)}")
         if x2 < x1 or y2 < y1:
-            raise ContractError(f"box corners out of order: {self!r}")
+            raise ContractError(f"box corners out of order: {self._format(x1, y1, x2, y2)}")
+        _set_x1(self, x1)
+        _set_y1(self, y1)
+        _set_x2(self, x2)
+        _set_y2(self, y2)
 
     @property
     def width(self) -> float:
@@ -43,6 +46,10 @@ class Box:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
+
+
+# slot setters for __init__, since Record.__setattr__ refuses assignment
+_set_x1, _set_y1, _set_x2, _set_y2 = (getattr(Box, n).__set__ for n in Box.__slots__)
 
 
 def check_iou_threshold(iou_threshold: float) -> None:

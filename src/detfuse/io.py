@@ -158,7 +158,11 @@ def load_detections(path: str | os.PathLike) -> list[Detection]:
 def save_annotations(path: str | os.PathLike, anns: Iterable[GroundTruthRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for a in anns:
-            f.write(f"{a.class_id} {a.box.x1!r} {a.box.y1!r} {a.box.x2!r} {a.box.y2!r}\n")
+            b = a.box
+            # float() because numpy 2 reprs np.float64 as "np.float64(...)"
+            f.write(
+                f"{a.class_id} {float(b.x1)!r} {float(b.y1)!r} {float(b.x2)!r} {float(b.y2)!r}\n"
+            )
 
 
 def load_annotations(path: str | os.PathLike, image_id: str) -> list[GroundTruthRecord]:

@@ -202,12 +202,15 @@ def test_eval_bad_n_blocks_exit_code(tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     save_detections(preds, [Detection(Box(0, 0, 10, 10), 0, 0.9, 0, "a")])
     out = tmp_path / "report"
-    assert main(["eval", str(preds), manifest, "--n-blocks", "0", "--out", str(out)]) == EXIT_CONTRACT
-    err = capsys.readouterr().err
-    assert "n_blocks" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "report.txt").exists()
-    assert not (tmp_path / "report.tsv").exists()
+    # below 1 and above MAX_N_BLOCKS (10 000); unchecked, 10**9 blocks run for hours
+    for value in ["0", "10001", "1000000000"]:
+        argv = ["eval", str(preds), manifest, "--n-blocks", value, "--out", str(out)]
+        assert main(argv) == EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert "n_blocks" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.txt").exists()
+        assert not (tmp_path / "report.tsv").exists()
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "1", "nan", "1.5"])

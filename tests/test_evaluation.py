@@ -14,7 +14,7 @@ from detfuse import (
     mean_ap,
     precision_recall,
 )
-from detfuse.evaluation import APResult
+from detfuse.evaluation import MAX_N_BLOCKS, APResult
 
 from oracles import brute_force_evaluate
 
@@ -120,6 +120,14 @@ class TestAveragePrecision:
         # 2 GT, ranked TP, FP, TP: blocks 1-6 see precision 1, blocks 7-10 see 2/3
         curve = PRCurve([(0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3)])
         assert average_precision(curve, 10) == pytest.approx(13 / 15, abs=1e-9)
+
+    @pytest.mark.parametrize("n_blocks", [-1, 0, MAX_N_BLOCKS + 1, 10**9])
+    def test_n_blocks_outside_range_rejected(self, n_blocks):
+        # one check for both entry points; 10**9 blocks would otherwise run for hours
+        with pytest.raises(ContractError, match=r"n_blocks must be in \[1, 10000\]"):
+            average_precision(PRCurve([(0.5, 1.0)]), n_blocks)
+        with pytest.raises(ContractError, match=r"n_blocks must be in \[1, 10000\]"):
+            evaluate_dataset([det((0, 0, 10, 10))], [gt((0, 0, 10, 10))], 0.5, n_blocks)
 
     def test_recall_monotonicity_enforced(self):
         with pytest.raises(ContractError):

@@ -296,6 +296,15 @@ def test_annotation_roundtrip(tmp_path):
     assert load_annotations(path, "pic") == anns
 
 
+def test_annotation_roundtrip_numpy_scalars(tmp_path):
+    # numpy 2 reprs np.float64(1.5) as "np.float64(1.5)", which the loader rejects
+    path = tmp_path / "ann.txt"
+    x1, y1, x2, y2 = (np.float64(v) for v in (1.5, -0.0, 10.1, 5e-324))
+    save_annotations(path, [GroundTruthRecord("pic", np.int64(3), Box(x1, y1, x2, y2))])
+    assert path.read_text() == "3 1.5 -0.0 10.1 5e-324\n"
+    assert load_annotations(path, "pic") == [GroundTruthRecord("pic", 3, Box(1.5, -0.0, 10.1, 5e-324))]
+
+
 def test_annotation_bad_field_count(tmp_path):
     path = tmp_path / "ann.txt"
     path.write_text("0 1 2 3\n")
