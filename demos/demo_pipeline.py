@@ -18,7 +18,7 @@ from detfuse import (
 
 gts = random_ground_truth(n_images=20, n_classes=5, boxes_per_image=4, seed=1234)
 noise = NoiseModel(jitter_sigma=3.0, drop_rate=0.1, fp_rate=1.0,
-                   conf_calibration=(1.0, 0.05), seed=0)
+                   conf_noise=0.05, seed=0)
 ensemble = generate_ensemble(gts, noise, 3)
 
 print("single-model performance:")

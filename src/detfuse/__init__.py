@@ -1,6 +1,6 @@
 """Detection-ensemble box fusion, mAP evaluation, loss oracle and augmentation."""
 
-from .errors import ContractError, DegenerateWeightsError, DetfuseError, ParseError
+from .errors import ContractError, DetfuseError, ParseError
 from .geometry import Box, area, iou
 from .fusion import (
     PROB_MAX,
@@ -62,7 +62,6 @@ __all__ = [
     "Cluster",
     "ClusterSummary",
     "ContractError",
-    "DegenerateWeightsError",
     "Detection",
     "DetfuseError",
     "EvaluationReport",

@@ -55,14 +55,6 @@ class AnnotatedImage:
     image: np.ndarray  # (h, w, 3) uint8
     annotations: list[GroundTruthRecord] = field(default_factory=list)
 
-    @property
-    def width(self) -> int:
-        return self.image.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.image.shape[0]
-
 
 @dataclass(frozen=True)
 class AugmentSpec:
@@ -89,14 +81,6 @@ class AugmentSpec:
                 raise ContractError(f"factors must be positive and finite, got {f}")
         if any(r < 0 for r in self.blur_radii):
             raise ContractError("blur radii must be non-negative")
-
-
-def _rotation_trig(angle: float) -> tuple[float, float]:
-    key = int(angle) if float(angle).is_integer() else None
-    if key is not None and key in _EXACT_TRIG:
-        return _EXACT_TRIG[key]
-    rad = math.radians(angle)
-    return math.sin(rad), math.cos(rad)
 
 
 def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
@@ -161,12 +145,14 @@ def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
         raise ContractError(f"angle must be in [0, 360), got {angle}")
     img = src.image
     h, w = img.shape[:2]
-    sin, cos = _rotation_trig(angle)
-    if angle in _EXACT_TRIG:
-        k = int(angle) // 90
-        out_img = np.ascontiguousarray(np.rot90(img, -k))
+    exact = _EXACT_TRIG.get(angle)
+    if exact is not None:
+        sin, cos = exact
+        out_img = np.ascontiguousarray(np.rot90(img, -(int(angle) // 90)))
         nh, nw = out_img.shape[:2]
     else:
+        rad = math.radians(angle)
+        sin, cos = math.sin(rad), math.cos(rad)
         nw = math.ceil(w * abs(cos) + h * abs(sin))
         nh = math.ceil(w * abs(sin) + h * abs(cos))
         out_img = _rotate_pixels_arbitrary(img, sin, cos, nw, nh)
@@ -199,7 +185,7 @@ def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
 
 def mirror_with_boxes(src: AnnotatedImage) -> AnnotatedImage:
     """Horizontal flip; box (x1, y1, x2, y2) becomes (W-x2, y1, W-x1, y2)."""
-    wpx = float(src.width)
+    wpx = float(src.image.shape[1])
     img = np.ascontiguousarray(src.image[:, ::-1])
     anns = [
         GroundTruthRecord(
@@ -370,7 +356,11 @@ def expand_dataset(
     Unreadable inputs are recorded and skipped. Alongside the derived images
     and annotation files the output directory receives ``manifest.txt`` and
     a ``provenance.txt`` mapping each derived image to its source; these two
-    are written atomically, once every derived file exists.
+    are written atomically, once every derived file exists. Both list
+    absolute paths, so the manifest reads the same from any working
+    directory; an ``out_dir`` whose absolute path contains whitespace, which
+    would split a manifest line into more than two fields, raises
+    ``ContractError`` before anything is written.
 
     Variants are emitted in the order rotation, saturation, exposure, mirror,
     blur radius, contrast, and each transform prefix is computed once per
@@ -382,6 +372,11 @@ def expand_dataset(
     rotate, mirror, color, blur, contrast.
     """
     sources = read_manifest(manifest_path)
+    out_dir = os.path.abspath(out_dir)
+    # stems come from whitespace-split manifest fields, so only out_dir can
+    # put whitespace into a derived path
+    if any(c.isspace() for c in out_dir):
+        raise ContractError(f"output directory path contains whitespace: {out_dir!r}")
     colors = list(product(spec.saturation_factors, spec.exposure_factors))
     mirrors = [False] + ([True] if spec.mirror else [])
     radii = [0, *spec.blur_radii]
@@ -405,7 +400,6 @@ def expand_dataset(
                 )
             planned[name] = image_path
 
-    out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     entries: list[tuple[str, str]] = []
     provenance: list[tuple[str, str]] = []

@@ -117,7 +117,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         jitter_sigma=args.jitter,
         drop_rate=args.drop_rate,
         fp_rate=args.fp_rate,
-        conf_calibration=(args.conf_slope, args.conf_noise),
+        conf_noise=args.conf_noise,
         misclass_rate=args.misclass_rate,
         seed=args.seed,
     )
@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--drop-rate", type=float, default=0.0)
     p.add_argument("--fp-rate", type=float, default=0.0)
-    p.add_argument("--conf-slope", type=float, default=1.0)
     p.add_argument("--conf-noise", type=float, default=0.0)
     p.add_argument("--misclass-rate", type=float, default=0.0)
     p.add_argument("--image-size", type=_size, default=(640.0, 480.0), metavar="WxH")

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto distinct exit codes, so library code should raise
-the most specific class that applies.
+The CLI maps each class onto one exit code: ParseError to 2, ContractError
+to 4 (an OSError is 3).
 """
 
 
@@ -15,7 +15,3 @@ class ParseError(DetfuseError, ValueError):
 
 class ContractError(DetfuseError, ValueError):
     """An input violated a documented precondition (e.g. mixed image ids)."""
-
-
-class DegenerateWeightsError(ContractError):
-    """All member probabilities of a cluster are zero; the weighted average is undefined."""

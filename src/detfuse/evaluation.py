@@ -39,6 +39,8 @@ class GroundTruthRecord(Record):
     box: Box
 
     def __init__(self, image_id: str, class_id: int, box: Box) -> None:
+        if class_id < 0:
+            raise ContractError(f"class_id must be non-negative, got {class_id}")
         _set_gt_image_id(self, image_id)
         _set_gt_class_id(self, class_id)
         _set_gt_box(self, box)

@@ -2,10 +2,12 @@
 
 Detections are assigned one by one to the existing same-class cluster whose
 aggregate box overlaps them best (by aggregate probability among clusters
-above the IoU threshold); a detection with no match seeds a new cluster.
-A cluster is summarized by the probability-weighted average of its member
-boxes, the max member probability divided by the cluster size, and the
-shared class.
+above the IoU threshold); a detection with no match seeds a new cluster,
+unless its probability is 0: it has no weight to place a box with, so it
+is dropped. A probability-0 detection that does match joins its cluster,
+so every cluster holds a member of positive probability. A cluster is
+summarized by the probability-weighted average of its member boxes, the
+max member probability divided by the cluster size, and the shared class.
 
 Clusters are kept in per-class buckets, in creation order, so a detection
 scans only the clusters of its own class and ties still go to the cluster
@@ -25,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ._record import Record
-from .errors import ContractError, DegenerateWeightsError
+from .errors import ContractError
 from .geometry import MIN_NORMAL, Box, check_iou_threshold, iou
 
 # Aggregate probability of a cluster: max member probability divided by the
@@ -121,7 +123,7 @@ def _aggregate(
     ``p`` and probability-weighted corners ``p * x1`` ..., in member order."""
     total = sum(p)
     if total <= 0.0:
-        raise DegenerateWeightsError("all member probabilities are zero")
+        raise ContractError("all member probabilities are zero")
     peak = max(p)
     prob = peak / len(p) if prob_mode == PROB_SCALED_MAX else peak
     return sum(px1) / total, sum(py1) / total, sum(px2) / total, sum(py2) / total, prob
@@ -133,8 +135,8 @@ def summarize(cluster: Cluster, prob_mode: str = PROB_SCALED_MAX) -> ClusterSumm
     The aggregate box is the per-coordinate average of member boxes weighted
     by member probability; the aggregate probability is the max member
     probability divided by the cluster size (or the plain max, see
-    ``prob_mode``). Raises DegenerateWeightsError when all member
-    probabilities are zero.
+    ``prob_mode``). Raises ContractError when all member probabilities are
+    zero; no cluster ``merge_boxes`` builds is such a cluster.
     """
     _check_prob_mode(prob_mode)
     ms = cluster.members
@@ -222,6 +224,8 @@ def _merge(
             if best is None or c.prob > best.prob:
                 best = c
         if best is None:
+            if det.prob == 0.0:
+                continue  # no weight to place a box with
             best = _Open()
             created.append(best)
             bucket.append(best)
@@ -257,8 +261,11 @@ def merge_boxes(
     Detections are processed in descending probability (ties: ascending
     model_id, then input order). Each joins the same-class cluster with the
     highest current aggregate probability among clusters whose aggregate box
-    has IoU >= iou_threshold with it, else it seeds a new cluster. Summaries
-    are recomputed after every insertion and returned sorted by descending
+    has IoU >= iou_threshold with it, else it seeds a new cluster. A
+    detection of probability 0 that joins no cluster is dropped, since it
+    has no weight to place a box with; one that joins a cluster leaves its
+    box unchanged and lowers its scaled-max probability. Summaries are
+    recomputed after every insertion and returned sorted by descending
     aggregate probability, ties broken by descending support then cluster
     creation order.
     """

@@ -36,14 +36,6 @@ class Box(Record):
         _set_x2(self, x2)
         _set_y2(self, y2)
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 

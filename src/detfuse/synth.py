@@ -2,9 +2,9 @@
 
 Stands in for an ensemble of trained detectors: each synthetic model
 perturbs the ground truth with corner jitter, dropped instances, spurious
-boxes and confidence noise. Confidence is tied to localization quality
-through a calibration slope so probability-weighted fusion has signal to
-work with. Everything is deterministic given the seed; per-image
+boxes and confidence noise. Confidence is the localization quality (the
+IoU with the ground-truth box) plus noise, so probability-weighted fusion
+has signal to work with. Everything is deterministic given the seed; per-image
 sub-streams are derived by XOR-ing the seed with a stable hash of the
 image id, so per-image generation order never affects results.
 """
@@ -35,15 +35,17 @@ MAX_FP_RATE = 1000.0
 class NoiseModel:
     """Error model of one synthetic detector.
 
-    conf_calibration is (slope, noise sigma): reported confidence is
-    clamp(slope * IoU(jittered, gt) + gaussian noise, 0, 1). Every parameter
-    must be finite, fp_rate at most MAX_FP_RATE and the seed non-negative.
+    The reported confidence of a detected instance is
+    clamp(IoU(jittered, gt) + N(0, 1) * conf_noise, 0, 1), so a large
+    conf_noise clamps many confidences to exactly 0 (``merge_boxes`` drops
+    such a detection unless it overlaps a cluster). Every parameter must be
+    finite, fp_rate at most MAX_FP_RATE and the seed non-negative.
     """
 
     jitter_sigma: float = 0.0
     drop_rate: float = 0.0
     fp_rate: float = 0.0
-    conf_calibration: tuple[float, float] = (1.0, 0.0)
+    conf_noise: float = 0.0
     misclass_rate: float = 0.0
     seed: int = 0
 
@@ -58,12 +60,9 @@ class NoiseModel:
             )
         if not 0.0 <= self.fp_rate <= MAX_FP_RATE:
             raise ContractError(f"fp_rate must be in [0, {MAX_FP_RATE}], got {self.fp_rate}")
-        slope, sigma = self.conf_calibration
-        if not math.isfinite(slope):
-            raise ContractError(f"confidence slope must be finite, got {slope}")
-        if not 0.0 <= sigma < math.inf:
+        if not 0.0 <= self.conf_noise < math.inf:
             raise ContractError(
-                f"confidence noise sigma must be finite and non-negative, got {sigma}"
+                f"confidence noise sigma must be finite and non-negative, got {self.conf_noise}"
             )
         if self.seed < 0:
             raise ContractError(f"seed must be non-negative, got {self.seed}")
@@ -84,7 +83,7 @@ def generate_model_detections(
     """Generate one synthetic model's detections for a ground-truth set.
 
     Per instance: drop with drop_rate, jitter every box corner with
-    N(0, jitter_sigma), report confidence via the calibration model, and
+    N(0, jitter_sigma), report confidence as in ``NoiseModel``, and
     flip the class label to a random wrong one with misclass_rate (no-op
     when only one class exists). Per image, Poisson(fp_rate) spurious
     uniform boxes are added with confidence uniform in [0.05, 0.5]. The
@@ -99,7 +98,6 @@ def generate_model_detections(
     for g in gts:
         by_image[g.image_id].append(g)
 
-    slope, conf_sigma = noise.conf_calibration
     out: list[Detection] = []
     for image_id in sorted(by_image):
         rng = _image_stream(noise.seed, image_id)
@@ -115,7 +113,7 @@ def generate_model_detections(
             yb = min(max(g.box.y2 + jy2, 0.0), height)
             box = Box(min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb))
             quality = iou(box, g.box)
-            conf = slope * quality + rng.standard_normal() * conf_sigma
+            conf = quality + rng.standard_normal() * noise.conf_noise
             conf = min(max(conf, 0.0), 1.0)
             class_id = g.class_id
             if rng.random() < noise.misclass_rate and len(classes) > 1:

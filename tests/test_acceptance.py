@@ -226,7 +226,7 @@ def _ensemble_vs_best(prob_mode, gts, n_seeds=30):
             jitter_sigma=3.0,
             drop_rate=0.1,
             fp_rate=1.0,
-            conf_calibration=(1.0, 0.05),
+            conf_noise=0.05,
             seed=seed * 1000,
         )
         sets = generate_ensemble(gts, noise, 3)

@@ -315,7 +315,8 @@ def reference_blur(img, radius):
 
 def _rotate_both(img, angle):
     """(library, reference) bilinear rotation on the canvas rotate_with_boxes uses."""
-    sin, cos = detfuse.augment._rotation_trig(angle)
+    rad = math.radians(angle)
+    sin, cos = math.sin(rad), math.cos(rad)
     h, w = img.shape[:2]
     nw = math.ceil(w * abs(cos) + h * abs(sin))
     nh = math.ceil(w * abs(sin) + h * abs(cos))

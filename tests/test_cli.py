@@ -234,7 +234,7 @@ def test_eval_bad_iou_threshold_exit_code(tmp_path, capsys, value):
         (["--models", "0"], "k_models"),
         (["--drop-rate", "2"], "drop_rate"),
         (["--jitter", "nan"], "jitter_sigma"),
-        (["--conf-slope", "nan"], "confidence slope"),
+        (["--conf-noise=-1"], "noise sigma"),
         (["--conf-noise", "inf"], "noise sigma"),
         (["--fp-rate", "inf"], "fp_rate"),
         (["--fp-rate", "1e300"], "fp_rate"),
@@ -366,3 +366,80 @@ def test_eval_failing_write_leaves_no_report(tmp_path, monkeypatch):
     monkeypatch.setattr("detfuse.cli._format_table", disk_full)
     assert main(["eval", str(preds), manifest, "--out", str(tmp_path / "report")]) == EXIT_IO
     assert set(os.listdir(tmp_path)) == before
+
+
+def test_fuse_drops_isolated_zero_score(tmp_path, capsys):
+    f1 = tmp_path / "m1.jsonl"
+    save_detections(f1, [
+        Detection(Box(0, 0, 10, 10), 0, 0.9, 0, "a"),
+        Detection(Box(50, 50, 60, 60), 0, 0.0, 0, "a"),
+    ])
+    out = tmp_path / "fused.jsonl"
+    assert main(["fuse", str(f1), "--out", str(out)]) == EXIT_OK
+    assert load_detections(out) == [Detection(Box(0, 0, 10, 10), 0, 0.9, -1, "a")]
+    assert "a: 2 detections -> 1 clusters" in capsys.readouterr().out
+
+
+def test_synth_clamped_zero_scores_fuse(tmp_path):
+    manifest = make_gts(tmp_path, [
+        GroundTruthRecord("a", 0, Box(0, 0, 10, 10)),
+        GroundTruthRecord("a", 1, Box(20, 20, 40, 40)),
+    ])
+    prefix = str(tmp_path / "dets")
+    argv = ["synth", manifest, "--models", "1", "--conf-noise", "5", "--seed", "1"]
+    assert main([*argv, "--out", prefix]) == EXIT_OK
+    dets = load_detections(prefix + ".model0.jsonl")
+    assert any(d.prob == 0.0 for d in dets)
+    out = tmp_path / "fused.jsonl"
+    assert main(["fuse", prefix + ".model0.jsonl", "--out", str(out)]) == EXIT_OK
+    assert [d.box for d in load_detections(out)] == [d.box for d in dets if d.prob > 0.0]
+
+
+def test_augment_relative_out_is_readable(tmp_path, monkeypatch):
+    manifest = _augment_manifest(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["augment", manifest, "--rotations", "0,90", "--out", "aug"]) == EXIT_OK
+    entries = read_manifest("aug/manifest.txt")
+    assert len(entries) == 2
+    assert all(os.path.isabs(p) and os.path.isfile(p) for pair in entries for p in pair)
+    assert main(["synth", "aug/manifest.txt", "--out", "dets"]) == EXIT_OK
+    assert len(load_detections("dets.model0.jsonl")) == 2
+
+
+def test_augment_whitespace_out_leaves_no_file(tmp_path, monkeypatch, capsys):
+    manifest = _augment_manifest(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = set(os.listdir(tmp_path))
+    assert main(["augment", manifest, "--out", "my out"]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "whitespace" in err and "Traceback" not in err
+    assert set(os.listdir(tmp_path)) == before
+
+
+def _negative_class_manifest(tmp_path):
+    manifest = make_gts(tmp_path, [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))])
+    (tmp_path / "a.txt").write_text("-1 0 0 10 10\n")
+    return manifest
+
+
+@pytest.mark.parametrize("command", ["eval", "synth"])
+def test_negative_annotation_class_exit_code(tmp_path, capsys, command):
+    manifest = _negative_class_manifest(tmp_path)
+    preds = tmp_path / "preds.jsonl"
+    save_detections(preds, [Detection(Box(0, 0, 10, 10), 0, 0.9, 0, "a")])
+    before = set(os.listdir(tmp_path))
+    argv = ["eval", str(preds), manifest] if command == "eval" else ["synth", manifest]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "a.txt:1:" in err and "class_id must be non-negative" in err
+    assert "Traceback" not in err
+    assert set(os.listdir(tmp_path)) == before
+
+
+def test_augment_records_negative_annotation_class(tmp_path, capsys):
+    manifest = _negative_class_manifest(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["augment", manifest, "--out", str(out_dir)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "a.ppm" in err and "class_id must be non-negative" in err
+    assert read_manifest(out_dir / "manifest.txt") == []

@@ -115,7 +115,7 @@ def _run_in_process(argv, capsys):
 def test_every_numeric_flag_is_driven():
     # the cases come from the parser; the count notices a flag that drops out
     # of them (its type= removed)
-    assert len(_numeric_flags()) == 17
+    assert len(_numeric_flags()) == 16
     assert COUNT_LIKE <= set(_numeric_flags())
 
 

@@ -7,7 +7,6 @@ from detfuse import (
     Cluster,
     ClusterSummary,
     ContractError,
-    DegenerateWeightsError,
     Detection,
     PROB_MAX,
     merge_boxes,
@@ -15,7 +14,7 @@ from detfuse import (
     summarize,
 )
 
-from oracles import replay_merge
+from oracles import iou_ref, replay_merge
 
 
 def det(box, class_id=0, prob=0.5, model_id=0, image_id="img"):
@@ -53,7 +52,7 @@ class TestSummarize:
         assert s.prob == pytest.approx(0.3)
 
     def test_zero_weights_rejected(self):
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(ContractError, match="all member probabilities are zero"):
             summarize(Cluster([det((0, 0, 1, 1), prob=0.0)]))
 
     def test_prob_mode_max(self):
@@ -200,6 +199,24 @@ class TestMergeBoxes:
             ]
             check_against_replay(dets)
 
+    def test_oracle_equivalence_with_zero_probabilities(self):
+        # a probability-0 detection joins a cluster it overlaps and is dropped
+        # otherwise; the clusters are the replay of the detections kept
+        rng = random.Random(31)
+        joined = dropped = 0
+        for _ in range(300):
+            dets = []
+            for _ in range(rng.randint(0, 8)):
+                box = sorted_box(rng)
+                if dets and rng.random() < 0.5:
+                    box = near_box(rng, rng.choice(dets).box.as_tuple())
+                prob = 0.0 if rng.random() < 0.4 else round(rng.uniform(0.01, 1.0), 6)
+                dets.append(det(box, rng.randint(0, 1), prob, rng.randint(0, 2)))
+            lost = check_against_replay(dets)
+            dropped += len(lost)
+            joined += sum(d.prob == 0.0 for d in dets) - len(lost)
+        assert joined > 0 and dropped > 0
+
     def test_summary_box_within_member_hull(self):
         rng = random.Random(29)
         dets = [
@@ -217,10 +234,30 @@ def sorted_box(rng):
     return (x1, y1, x2, y2)
 
 
+def near_box(rng, box):
+    """box with each corner moved by up to 3, so it usually overlaps box."""
+    x1, x2 = sorted((box[0] + rng.uniform(-3, 3), box[2] + rng.uniform(-3, 3)))
+    y1, y2 = sorted((box[1] + rng.uniform(-3, 3), box[3] + rng.uniform(-3, 3)))
+    return (x1, y1, x2, y2)
+
+
 def check_against_replay(dets, iou_threshold=0.5):
-    """Compare merge_boxes_with_members to the literal replay oracle."""
+    """Compare merge_boxes_with_members to the literal replay oracle.
+
+    The oracle replays the detections merge_boxes kept. Each dropped one
+    must have probability 0 and overlap every same-class cluster box by
+    less than the threshold. Returns the dropped detections.
+    """
     got = merge_boxes_with_members(dets, iou_threshold)
-    index_of = {id(d): i for i, d in enumerate(dets)}
+    kept_ids = {id(m) for cluster, _ in got for m in cluster.members}
+    kept = [d for d in dets if id(d) in kept_ids]
+    lost = [d for d in dets if id(d) not in kept_ids]
+    for d in lost:
+        assert d.prob == 0.0
+        for _, s in got:
+            if s.class_id == d.class_id:
+                assert iou_ref(s.box.as_tuple(), d.box.as_tuple()) < iou_threshold
+    index_of = {id(d): i for i, d in enumerate(kept)}
     got_norm = [
         (
             tuple(index_of[id(m)] for m in cluster.members),
@@ -232,7 +269,7 @@ def check_against_replay(dets, iou_threshold=0.5):
         for cluster, s in got
     ]
     expected = replay_merge(
-        [(d.box.as_tuple(), d.class_id, d.prob, d.model_id) for d in dets],
+        [(d.box.as_tuple(), d.class_id, d.prob, d.model_id) for d in kept],
         iou_threshold,
     )
     expected_norm = [
@@ -240,3 +277,4 @@ def check_against_replay(dets, iou_threshold=0.5):
         for members, summary in expected
     ]
     assert got_norm == expected_norm
+    return lost

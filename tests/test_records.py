@@ -178,6 +178,14 @@ def test_detection_rejects_bad_values_with_the_old_message(class_id, prob):
         Detection(Box(0, 0, 1, 1), class_id, prob)
 
 
+def test_ground_truth_rejects_a_negative_class_as_detection_does():
+    with pytest.raises(ContractError) as expected:
+        Detection(Box(0, 0, 1, 1), -1, 0.5)
+    with pytest.raises(ContractError) as got:
+        GroundTruthRecord("a", -1, Box(0, 0, 1, 1))
+    assert str(got.value) == str(expected.value)
+
+
 def test_detection_keyword_defaults():
     d = Detection(box=Box(0, 0, 1, 1), class_id=2, prob=0.5)
     assert (d.model_id, d.image_id) == (0, "")

@@ -57,7 +57,7 @@ def test_drop_everything():
 def test_determinism():
     gts = five_box_fixture()
     noise = NoiseModel(jitter_sigma=2.0, fp_rate=0.5, drop_rate=0.1,
-                       conf_calibration=(1.0, 0.05), seed=42)
+                       conf_noise=0.05, seed=42)
     a = generate_model_detections(gts, noise)
     b = generate_model_detections(gts, noise)
     assert a == b
@@ -66,7 +66,7 @@ def test_determinism():
 def test_matches_golden_file(tmp_path):
     gts = five_box_fixture()
     noise = NoiseModel(jitter_sigma=2.0, fp_rate=0.5, drop_rate=0.1,
-                       conf_calibration=(1.0, 0.05), seed=42)
+                       conf_noise=0.05, seed=42)
     path = tmp_path / "synth.jsonl"
     save_detections(path, generate_model_detections(gts, noise))
     with open(os.path.join(DATA_DIR, "synth_golden.jsonl"), "rb") as f:
@@ -114,7 +114,7 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(jitter_sigma=-1)
     with pytest.raises(ValueError):
-        NoiseModel(conf_calibration=(1.0, -0.1))
+        NoiseModel(conf_noise=-0.1)
 
 
 @pytest.mark.parametrize(
@@ -125,10 +125,10 @@ def test_noise_model_validation():
         ({"fp_rate": math.nan}, "fp_rate"),
         ({"fp_rate": math.inf}, "fp_rate"),
         ({"fp_rate": MAX_FP_RATE * (1 + 1e-15)}, "fp_rate"),
-        ({"conf_calibration": (math.nan, 0.0)}, "slope"),
-        ({"conf_calibration": (-math.inf, 0.0)}, "slope"),
-        ({"conf_calibration": (1.0, math.nan)}, "noise sigma"),
-        ({"conf_calibration": (1.0, math.inf)}, "noise sigma"),
+        ({"conf_noise": -math.inf}, "noise sigma"),
+        ({"conf_noise": -1e-300}, "noise sigma"),
+        ({"conf_noise": math.nan}, "noise sigma"),
+        ({"conf_noise": math.inf}, "noise sigma"),
         ({"drop_rate": math.nan}, "drop_rate"),
         ({"misclass_rate": math.nan}, "misclass_rate"),
         ({"seed": -1}, "seed"),
@@ -173,7 +173,7 @@ def test_monotone_degradation_with_jitter():
     for sigma in (0.0, 1.0, 2.0, 4.0, 8.0):
         vals = []
         for seed in range(20):
-            noise = NoiseModel(jitter_sigma=sigma, conf_calibration=(1.0, 0.02), seed=seed)
+            noise = NoiseModel(jitter_sigma=sigma, conf_noise=0.02, seed=seed)
             dets = generate_model_detections(gts, noise)
             vals.append(evaluate_dataset(dets, gts).mean_ap)
         mean_maps.append(float(np.mean(vals)))
