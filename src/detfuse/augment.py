@@ -7,16 +7,24 @@ axis-aligned bounding box of its rotated corners, clipped to the new canvas.
 Rotations by multiples of 90 degrees are exact pixel permutations; other
 angles use bilinear resampling.
 
-The pixel kernels are exact: each works on whole arrays yet gives every
-output byte the value of its per-pixel float64 formula, evaluated in this
-order (each result rounded half up, ``floor(x + 0.5)``):
+The pixel kernels compute their output one band of rows at a time, each
+band at most 2**14 pixels (or one row of a wider image), so their float64
+and int64 temporaries stay a few MB whatever the image size; only the
+uint8 output spans the image. They are exact: every output byte has the
+value of its per-pixel float64 formula, evaluated in this order (each
+result rounded half up, ``floor(x + 0.5)``), and the bytes depend neither
+on the band size nor on where the bands start:
 
 - bilinear rotation: source position ``(cx + u*cos) + v*sin - 0.5`` and
   ``(cy - u*sin) + v*cos - 0.5``; tap weight ``wx * wy``; the four taps
   summed as ``((p00*w00 + p01*w01) + p10*w10) + p11*w11``;
 - color: ``colorsys``-style HSV with hue ``(h / 6) % 1.0``, ``q = v * (1 -
   s*f)`` and ``t = v * (1 - s*(1 - f))``, then ``x * 255``;
-- blur: exact integer window sum, then ``sum / count``.
+- blur: exact integer window sum, then ``sum / count``; the vertical sums
+  run down the rows, adding the row that enters the window and subtracting
+  the one that leaves, so a band's work does not grow with the radius.
+
+These orders are load-bearing: any other association changes some bytes.
 """
 
 from __future__ import annotations
@@ -43,6 +51,10 @@ from .io import (
 
 # exact (sin, cos) for the right-angle rotations
 _EXACT_TRIG = {0: (0.0, 1.0), 90: (1.0, 0.0), 180: (0.0, -1.0), 270: (-1.0, 0.0)}
+
+# pixels per band of rows that the pixel kernels compute at a time, so their
+# float64 and int64 temporaries stay a few MB whatever the image size
+_BAND_PIXELS = 1 << 14
 
 # longest file name, in bytes, that common file systems hold
 _NAME_MAX = 255
@@ -83,6 +95,13 @@ class AugmentSpec:
             raise ContractError("blur radii must be non-negative")
 
 
+def _row_bands(height: int, width: int):
+    """``(r0, r1)`` of consecutive bands of rows, each at most ``_BAND_PIXELS``
+    pixels or one row."""
+    step = max(1, _BAND_PIXELS // max(width, 1))
+    return ((r0, min(r0 + step, height)) for r0 in range(0, height, step))
+
+
 def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
                              nw: int, nh: int) -> np.ndarray:
     """Inverse-map bilinear resampling with black outside the source.
@@ -96,42 +115,49 @@ def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
     h, w = img.shape[:2]
     cx, cy = w / 2.0, h / 2.0
     u = (np.arange(nw, dtype=np.float64) + 0.5) - nw / 2.0  # one row
-    v = ((np.arange(nh, dtype=np.float64) + 0.5) - nh / 2.0)[:, None]  # one column
+    vs = (np.arange(nh, dtype=np.float64) + 0.5) - nh / 2.0  # one column
     # inverse rotation back into source coordinates, associated as
-    # (cx + u*cos) + v*sin and (cy - u*sin) + v*cos
-    fx = ((cx + u * cos) + v * sin) - 0.5
-    fy = ((cy - u * sin) + v * cos) - 0.5
-    x0 = np.floor(fx)
-    y0 = np.floor(fy)
-    tx = fx - x0
-    ty = fy - y0
-    wxs = (1.0 - tx, tx)
-    wys = (1.0 - ty, ty)
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
+    # (cx + u*cos) + v*sin and (cy - u*sin) + v*cos; the first terms are
+    # the same for every output row
+    x_row = cx + u * cos
+    y_row = cy - u * sin
     planes = np.ascontiguousarray(np.moveaxis(img, -1, 0)).reshape(3, -1)
-    out = np.empty((3, nh, nw))
-    weight = np.empty((nh, nw))
-    flat = np.empty((nh, nw), dtype=np.int64)
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        xi = x0 + dx
-        yi = y0 + dy
-        # a negative index is a huge unsigned one, so one comparison per axis
-        valid = (xi.view(np.uint64) < w) & (yi.view(np.uint64) < h)
-        np.multiply(wxs[dx], wys[dy], out=weight)
-        weight *= valid
-        np.multiply(yi, w, out=flat)
-        flat += xi
-        flat *= valid  # a tap outside gathers pixel 0, weighted +0.0
-        for c in range(3):
-            if dy == dx == 0:
-                np.multiply(planes[c].take(flat), weight, out=out[c])
-            else:
-                out[c] += planes[c].take(flat) * weight
-    # the weights of a pixel sum to 1 within a few ulp: out lies in [0, 255.5)
-    out += 0.5
-    np.floor(out, out=out)
-    return np.ascontiguousarray(np.moveaxis(out.astype(np.uint8), 0, -1))
+    out = np.empty((nh, nw, 3), dtype=np.uint8)
+    for r0, r1 in _row_bands(nh, nw):
+        v = vs[r0:r1, None]
+        fx = (x_row + v * sin) - 0.5
+        fy = (y_row + v * cos) - 0.5
+        x0 = np.floor(fx)
+        y0 = np.floor(fy)
+        tx = fx - x0
+        ty = fy - y0
+        wxs = (1.0 - tx, tx)
+        wys = (1.0 - ty, ty)
+        x0 = x0.astype(np.int64)
+        y0 = y0.astype(np.int64)
+        acc = np.empty((3, *fx.shape))
+        weight = np.empty(fx.shape)
+        flat = np.empty(fx.shape, dtype=np.int64)
+        for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            xi = x0 + dx
+            yi = y0 + dy
+            # a negative index is a huge unsigned one, so one comparison per axis
+            valid = (xi.view(np.uint64) < w) & (yi.view(np.uint64) < h)
+            np.multiply(wxs[dx], wys[dy], out=weight)
+            weight *= valid
+            np.multiply(yi, w, out=flat)
+            flat += xi
+            flat *= valid  # a tap outside gathers pixel 0, weighted +0.0
+            for c in range(3):
+                if dy == dx == 0:
+                    np.multiply(planes[c].take(flat), weight, out=acc[c])
+                else:
+                    acc[c] += planes[c].take(flat) * weight
+        # the weights of a pixel sum to 1 within a few ulp: acc lies in [0, 255.5)
+        acc += 0.5
+        np.floor(acc, out=acc)
+        np.copyto(out[r0:r1], np.moveaxis(acc, 0, -1), casting="unsafe")
+    return out
 
 
 def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
@@ -223,6 +249,15 @@ def adjust_color(img: np.ndarray, saturation: float = 1.0, exposure: float = 1.0
         raise ContractError("saturation and exposure factors must be positive")
     if saturation == 1.0 and exposure == 1.0:
         return img.copy()
+    out = np.empty(img.shape, dtype=np.uint8)
+    for r0, r1 in _row_bands(*img.shape[:2]):
+        _adjust_color_band(img[r0:r1], saturation, exposure, out[r0:r1])
+    return out
+
+
+def _adjust_color_band(img: np.ndarray, saturation: float, exposure: float,
+                       out: np.ndarray) -> None:
+    """``adjust_color`` of one band of rows, written into ``out``."""
     r, g, b = np.ascontiguousarray(np.moveaxis(img, -1, 0)) / 255.0
     maxc = np.maximum(np.maximum(r, g), b)
     delta = maxc - np.minimum(np.minimum(r, g), b)
@@ -260,10 +295,8 @@ def adjust_color(img: np.ndarray, saturation: float = 1.0, exposure: float = 1.0
     # one little-endian word per pixel holds the bytes v, p, q, t; each
     # channel shifts its sector's byte down
     words = vpqt.view("<u4")[..., 0]
-    out = np.empty(img.shape, dtype=np.uint8)
     for c, shifts in enumerate(_SECTOR_SHIFTS):
         out[..., c] = words >> shifts.take(sector)
-    return out
 
 
 def blur(img: np.ndarray, radius: int) -> np.ndarray:
@@ -280,31 +313,36 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
     # a window reaching past both image edges sums the whole axis, so a
     # radius above the image size pads no further
     ry, rx = min(radius, h), min(radius, w)
-    # Prefix sums down the rows, padded with ry + 1 zero rows before and ry
-    # copies of the total after: row y's window sum is c[y + 2ry + 1] - c[y].
-    c = np.empty((h + 2 * ry + 1, w, 3), dtype=np.int64)
-    c[: ry + 1] = 0
-    c[ry + 1 : ry + 1 + h] = img
-    for y in range(ry + 2, ry + 1 + h):  # row by row, each add contiguous
-        c[y] += c[y - 1]
-    c[ry + 1 + h :] = c[ry + h]
-    rows = c[2 * ry + 1 :] - c[:h]
-    # the same along the columns of the row sums
-    c = np.empty((h, w + 2 * rx + 1, 3), dtype=np.int64)
-    c[:, : rx + 1] = 0
-    np.cumsum(rows, axis=1, out=c[:, rx + 1 : rx + 1 + w])
-    c[:, rx + 1 + w :] = c[:, rx + w : rx + w + 1]
-    sums = c[:, 2 * rx + 1 :] - c[:, :w]
 
     def counts(n: int, r: int) -> np.ndarray:
         i = np.arange(n)
         return np.minimum(i + r + 1, n) - np.maximum(i - r, 0)
 
-    out = sums / (counts(h, ry)[:, None] * counts(w, rx)).astype(np.float64)[..., None]
-    # sum <= 255 * count, so the mean lies in [0, 255] and needs no clip
-    out += 0.5
-    np.floor(out, out=out)
-    return out.astype(np.uint8)
+    row_counts, col_counts = counts(h, ry), counts(w, rx)
+    # the sum of rows y - ry to y + ry, carried down the rows from y = -1,
+    # whose window holds rows 0 to ry - 1
+    vertical = img[:ry].sum(axis=0, dtype=np.int64)
+    out = np.empty(img.shape, dtype=np.uint8)
+    for r0, r1 in _row_bands(h, w):
+        # prefix sums along each row of the band's vertical sums, padded with
+        # rx + 1 zero columns before and rx copies of the total after:
+        # column x's window sum is c[:, x + 2rx + 1] - c[:, x]
+        c = np.empty((r1 - r0, w + 2 * rx + 1, 3), dtype=np.int64)
+        c[:, : rx + 1] = 0
+        for y in range(r0, r1):
+            if y + ry < h:
+                vertical += img[y + ry]  # the row entering the window
+            if y > ry:
+                vertical -= img[y - ry - 1]  # the row leaving it
+            np.cumsum(vertical, axis=0, out=c[y - r0, rx + 1 : rx + 1 + w])
+        c[:, rx + 1 + w :] = c[:, rx + w : rx + w + 1]
+        sums = c[:, 2 * rx + 1 :] - c[:, :w]
+        mean = sums / (row_counts[r0:r1, None] * col_counts).astype(np.float64)[..., None]
+        # sum <= 255 * count, so the mean lies in [0, 255] and needs no clip
+        mean += 0.5
+        np.floor(mean, out=mean)
+        np.copyto(out[r0:r1], mean, casting="unsafe")
+    return out
 
 
 def contrast(img: np.ndarray, factor: float) -> np.ndarray:
@@ -313,8 +351,11 @@ def contrast(img: np.ndarray, factor: float) -> np.ndarray:
         raise ContractError(f"contrast factor must be positive, got {factor}")
     if factor == 1.0:
         return img.copy()
-    out = (img.astype(np.float64) - 128.0) * factor + 128.0
-    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    out = np.empty(img.shape, dtype=np.uint8)
+    for r0, r1 in _row_bands(*img.shape[:2]):
+        band = (img[r0:r1].astype(np.float64) - 128.0) * factor + 128.0
+        np.copyto(out[r0:r1], np.clip(np.floor(band + 0.5), 0, 255), casting="unsafe")
+    return out
 
 
 @dataclass
@@ -358,9 +399,9 @@ def expand_dataset(
     a ``provenance.txt`` mapping each derived image to its source; these two
     are written atomically, once every derived file exists. Both list
     absolute paths, so the manifest reads the same from any working
-    directory; an ``out_dir`` whose absolute path contains whitespace, which
-    would split a manifest line into more than two fields, raises
-    ``ContractError`` before anything is written.
+    directory; an ``out_dir`` or a resolved source image path that contains
+    whitespace, which would split a manifest or provenance line into more
+    than two fields, raises ``ContractError`` before anything is written.
 
     Variants are emitted in the order rotation, saturation, exposure, mirror,
     blur radius, contrast, and each transform prefix is computed once per
@@ -384,6 +425,10 @@ def expand_dataset(
     n_variants = len(spec.rotations) * len(colors) * len(mirrors) * len(radii) * len(cfacs)
     planned: dict[str, str] = {}
     for image_path, _ in sources:
+        # a source path resolved against a manifest directory that contains
+        # whitespace would split its provenance line the same way
+        if any(c.isspace() for c in image_path):
+            raise ContractError(f"source image path contains whitespace: {image_path!r}")
         stem = image_id_from_path(image_path)
         for rot, (sat, exp), mirrored, radius, cfac in product(
             spec.rotations, colors, mirrors, radii, cfacs

@@ -275,4 +275,4 @@ def write_ppm(path: str | os.PathLike, img: np.ndarray) -> None:
     h, w = img.shape[:2]
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(img.tobytes())
+        f.write(np.ascontiguousarray(img).data)  # no copy of a contiguous raster

@@ -416,6 +416,22 @@ def test_augment_whitespace_out_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert set(os.listdir(tmp_path)) == before
 
 
+def test_augment_whitespace_source_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # relative manifest entries resolve against the manifest's directory, so
+    # the source paths, and their provenance lines, contain its space
+    src = tmp_path / "sp ace"
+    src.mkdir()
+    write_ppm(src / "a.ppm", np.zeros((6, 8, 3), np.uint8))
+    save_annotations(src / "a.txt", [GroundTruthRecord("a", 0, Box(1, 1, 5, 4))])
+    (src / "m.txt").write_text("a.ppm a.txt\n")
+    monkeypatch.chdir(src)
+    before = set(os.listdir(tmp_path))
+    assert main(["augment", "m.txt", "--out", str(tmp_path / "out")]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "source image path contains whitespace" in err and "Traceback" not in err
+    assert set(os.listdir(tmp_path)) == before
+
+
 def _negative_class_manifest(tmp_path):
     manifest = make_gts(tmp_path, [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))])
     (tmp_path / "a.txt").write_text("-1 0 0 10 10\n")

@@ -357,6 +357,13 @@ def test_ppm_roundtrip(tmp_path):
     assert np.array_equal(read_ppm(path), img)
 
 
+def test_write_ppm_strided_view(tmp_path):
+    img = np.random.default_rng(1).integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
+    view = img[::2, ::-1]
+    write_ppm(tmp_path / "x.ppm", view)
+    assert (tmp_path / "x.ppm").read_bytes() == b"P6\n7 3\n255\n" + view.tobytes()
+
+
 @pytest.mark.parametrize(
     "img", [np.zeros((4, 4), np.uint8), np.zeros((4, 4, 4), np.uint8), np.zeros((4, 4, 3))],
     ids=["2d", "4-channel", "float64"],
