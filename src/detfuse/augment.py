@@ -22,9 +22,17 @@ on the band size nor on where the bands start:
   s*f)`` and ``t = v * (1 - s*(1 - f))``, then ``x * 255``;
 - blur: exact integer window sum, then ``sum / count``; the vertical sums
   run down the rows, adding the row that enters the window and subtracting
-  the one that leaves, so a band's work does not grow with the radius.
+  the one that leaves, so a band's work does not grow with the radius, and
+  one prefix sum per band turns them into horizontal window sums.
 
 These orders are load-bearing: any other association changes some bytes.
+
+Right-angle turns and horizontal flips permute pixels, and color, blur and
+contrast commute with them bit for bit: color and contrast act on each
+pixel alone, and the blur window is square, so a turned or flipped window
+has the same integer sum and the same in-bounds count (rows times
+columns). ``expand_dataset`` therefore colors and blurs each distinct
+canvas once and applies the turns and flips last.
 """
 
 from __future__ import annotations
@@ -211,8 +219,14 @@ def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
 
 def mirror_with_boxes(src: AnnotatedImage) -> AnnotatedImage:
     """Horizontal flip; box (x1, y1, x2, y2) becomes (W-x2, y1, W-x1, y2)."""
-    wpx = float(src.image.shape[1])
-    img = np.ascontiguousarray(src.image[:, ::-1])
+    h, w = src.image.shape[:2]
+    wpx = float(w)
+    # reversing each row's bytes reverses the pixels and their channel order;
+    # swapping channels 0 and 2 back costs less than a strided pixel copy
+    img = np.ascontiguousarray(src.image.reshape(h, w * 3)[:, ::-1]).reshape(h, w, 3)
+    red = img[..., 2].copy()
+    img[..., 2] = img[..., 0]
+    img[..., 0] = red
     anns = [
         GroundTruthRecord(
             a.image_id, a.class_id, Box(wpx - a.box.x2, a.box.y1, wpx - a.box.x1, a.box.y2)
@@ -329,12 +343,14 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
         # column x's window sum is c[:, x + 2rx + 1] - c[:, x]
         c = np.empty((r1 - r0, w + 2 * rx + 1, 3), dtype=np.int64)
         c[:, : rx + 1] = 0
+        rows = c[:, rx + 1 : rx + 1 + w]
         for y in range(r0, r1):
             if y + ry < h:
                 vertical += img[y + ry]  # the row entering the window
             if y > ry:
                 vertical -= img[y - ry - 1]  # the row leaving it
-            np.cumsum(vertical, axis=0, out=c[y - r0, rx + 1 : rx + 1 + w])
+            rows[y - r0] = vertical
+        np.cumsum(rows, axis=1, out=rows)
         c[:, rx + 1 + w :] = c[:, rx + w : rx + w + 1]
         sums = c[:, 2 * rx + 1 :] - c[:, :w]
         mean = sums / (row_counts[r0:r1, None] * col_counts).astype(np.float64)[..., None]
@@ -381,6 +397,19 @@ def _variant_name(stem: str, rot: float, sat: float, exp: float,
     return name
 
 
+def _canvases(src: AnnotatedImage, rotations: tuple[float, ...]):
+    """``(canvas, [(angle, turn), ...])`` for the rotation grid, one canvas at
+    a time: the source itself for every right angle, each turned by its
+    angle later, and one resampled canvas per other angle, whose turn is
+    ``None`` because it is already rotated."""
+    right = [(rot, rot) for rot in rotations if rot in _EXACT_TRIG]
+    if right:
+        yield src, right
+    for rot in rotations:
+        if rot not in _EXACT_TRIG:
+            yield rotate_with_boxes(src, rot), [(rot, None)]
+
+
 def expand_dataset(
     manifest_path: str | os.PathLike,
     spec: AugmentSpec,
@@ -403,14 +432,19 @@ def expand_dataset(
     whitespace, which would split a manifest or provenance line into more
     than two fields, raises ``ContractError`` before anything is written.
 
-    Variants are emitted in the order rotation, saturation, exposure, mirror,
-    blur radius, contrast, and each transform prefix is computed once per
-    source image: one rotation per angle, one color adjustment per (angle,
-    saturation, exposure) and one blur per radius on top of that. Mirroring
-    is applied after color and blur rather than before them; a horizontal
-    flip commutes exactly with those per-pixel and flip-symmetric window
-    transforms, so every derived byte equals the per-variant composition
-    rotate, mirror, color, blur, contrast.
+    ``manifest.txt`` and ``provenance.txt`` list the variants in the planned
+    order rotation, saturation, exposure, mirror, blur radius, contrast. The
+    pixels are computed per canvas instead: the source image is the one
+    canvas of every right-angle rotation, and each other angle resamples its
+    own. Each canvas gets one color adjustment per (saturation, exposure) and
+    one blur per radius on top of that; only then is the result turned by
+    its right angle (``rot90``), mirrored and contrast-scaled. Identity
+    settings (saturation and exposure 1, radius 0, contrast 1, angle 0) pass
+    the pixels on without a copy. A right-angle turn and a flip permute
+    pixels, color and contrast act on each pixel alone, and a square blur
+    window maps onto one with the same integer sum and in-bounds count, so
+    every derived byte equals the per-variant composition rotate, mirror,
+    color, blur, contrast.
     """
     sources = read_manifest(manifest_path)
     out_dir = os.path.abspath(out_dir)
@@ -446,8 +480,7 @@ def expand_dataset(
             planned[name] = image_path
 
     os.makedirs(out_dir, exist_ok=True)
-    entries: list[tuple[str, str]] = []
-    provenance: list[tuple[str, str]] = []
+    written: set[str] = set()
     errors: list[str] = []
     boxes_in = 0
     boxes_emitted = 0
@@ -459,26 +492,36 @@ def expand_dataset(
         except (OSError, DetfuseError) as e:
             errors.append(f"{image_path}: {e}")
             continue
+        written.add(image_path)
         boxes_in += len(anns) * n_variants
-        for rot in spec.rotations:
-            rotated = rotate_with_boxes(AnnotatedImage(img, anns), rot)
+        for canvas, turns in _canvases(AnnotatedImage(img, anns), spec.rotations):
             for sat, exp in colors:
-                colored = adjust_color(rotated.image, sat, exp)
-                blurred = [blur(colored, radius) for radius in radii]
-                for mirrored in mirrors:
-                    for radius, pixels in zip(radii, blurred):
-                        work = AnnotatedImage(pixels, rotated.annotations)
-                        if mirrored:
-                            work = mirror_with_boxes(work)
-                        for cfac in cfacs:
-                            name = _variant_name(stem, rot, sat, exp, mirrored, radius, cfac)
-                            boxes_emitted += len(work.annotations)
-                            img_out = os.path.join(out_dir, name + ".ppm")
-                            ann_out = os.path.join(out_dir, name + ".txt")
-                            write_ppm(img_out, contrast(work.image, cfac))
-                            save_annotations(ann_out, work.annotations)
-                            entries.append((img_out, ann_out))
-                            provenance.append((img_out, image_path))
+                colored = canvas.image
+                if (sat, exp) != (1.0, 1.0):
+                    colored = adjust_color(colored, sat, exp)
+                for radius in radii:
+                    blurred = blur(colored, radius) if radius else colored
+                    for rot, turn in turns:
+                        turned = AnnotatedImage(blurred, canvas.annotations)
+                        if turn is not None:
+                            turned = rotate_with_boxes(turned, turn)
+                        for mirrored in mirrors:
+                            work = mirror_with_boxes(turned) if mirrored else turned
+                            for cfac in cfacs:
+                                name = _variant_name(stem, rot, sat, exp, mirrored, radius, cfac)
+                                pixels = work.image if cfac == 1.0 else contrast(work.image, cfac)
+                                write_ppm(os.path.join(out_dir, name + ".ppm"), pixels)
+                                save_annotations(os.path.join(out_dir, name + ".txt"),
+                                                 work.annotations)
+                                boxes_emitted += len(work.annotations)
+    # the bookkeeping follows the plan, not the order the files were written
+    entries: list[tuple[str, str]] = []
+    provenance: list[tuple[str, str]] = []
+    for name, image_path in planned.items():
+        if image_path in written:
+            img_out = os.path.join(out_dir, name + ".ppm")
+            entries.append((img_out, os.path.join(out_dir, name + ".txt")))
+            provenance.append((img_out, image_path))
     manifest_out = os.path.join(out_dir, "manifest.txt")
     write_manifest(manifest_out, entries)
     provenance_out = os.path.join(out_dir, "provenance.txt")

@@ -30,6 +30,10 @@ FP_CONF_RANGE = (0.05, 0.5)
 # allocates that many boxes, so an unbounded rate could exhaust memory.
 MAX_FP_RATE = 1000.0
 
+# Most detection sets one generate_ensemble call makes; synth writes one file
+# per model, so an unbounded count could exhaust memory and the disk.
+MAX_MODELS = 1000
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -136,9 +140,10 @@ def generate_ensemble(
     k_models: int,
     image_size: tuple[float, float] = (640.0, 480.0),
 ) -> list[list[Detection]]:
-    """k independent detection sets; model i uses seed base_seed + i."""
-    if k_models < 1:
-        raise ContractError(f"k_models must be >= 1, got {k_models}")
+    """k independent detection sets, 1 <= k <= MAX_MODELS; model i uses seed
+    base_seed + i."""
+    if not 1 <= k_models <= MAX_MODELS:
+        raise ContractError(f"k_models must be in [1, {MAX_MODELS}], got {k_models}")
     return [
         generate_model_detections(
             gts, replace(base_noise, seed=base_noise.seed + i), model_id=i,

@@ -56,7 +56,7 @@ class CellBoxTarget:
         if self.responsible:
             if self.target_class is None:
                 raise ContractError("responsible target requires target_class")
-            if self.w <= 0 or self.h <= 0:
+            if not (self.w > 0 and self.h > 0):  # NaN fails too
                 raise ContractError("responsible target requires positive w, h")
 
 
@@ -66,8 +66,8 @@ class LossWeights:
     lambda_noobj: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.lambda_coord < 0 or self.lambda_noobj < 0:
-            raise ContractError("loss weights must be non-negative")
+        if not (0 <= self.lambda_coord < math.inf and 0 <= self.lambda_noobj < math.inf):
+            raise ContractError("loss weights must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ def yolo_loss(
     """Compute the loss decomposition over a grid of box predictions.
 
     Raises ContractError on a layout or class-count mismatch and when a
-    responsible prediction has negative width or height (square root
-    undefined).
+    responsible prediction has a negative or NaN width or height (square
+    root undefined).
     """
     _check_layout(grid, targets)
     err_center = 0.0
@@ -141,7 +141,7 @@ def yolo_loss(
     for preds, tgts in zip(grid, targets):
         for p, t in zip(preds, tgts):
             if t.responsible:
-                if p.w < 0 or p.h < 0:
+                if not (p.w >= 0 and p.h >= 0):  # NaN fails too
                     raise ContractError("responsible prediction has negative width/height")
                 err_center += (p.x - t.x) ** 2 + (p.y - t.y) ** 2
                 err_wh += (math.sqrt(p.w) - math.sqrt(t.w)) ** 2
@@ -173,7 +173,7 @@ def yolo_loss_grad(
         row: list[PredictionGradient] = []
         for p, t in zip(preds, tgts):
             if t.responsible:
-                if p.w <= 0 or p.h <= 0:
+                if not (p.w > 0 and p.h > 0):  # NaN fails too
                     raise ContractError(
                         "gradient undefined at w <= 0 or h <= 0 for a responsible box"
                     )

@@ -117,6 +117,14 @@ class TestMirror:
         out = mirror_with_boxes(AnnotatedImage(img, [ann((10, 20, 30, 40))]))
         assert out.annotations[0].box == Box(70, 20, 90, 40)
 
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9), st.just(3))))
+    def test_pixels_are_the_flipped_array(self, img):
+        before = img.copy()
+        out = mirror_with_boxes(AnnotatedImage(img, [])).image
+        assert np.array_equal(out, img[:, ::-1])
+        assert out.flags.c_contiguous
+        assert np.array_equal(img, before)
+
 
 class TestColor:
     def test_identity_bit_exact(self):
@@ -194,14 +202,29 @@ class TestBlurContrast:
             blur(np.zeros((2, 2, 3), np.uint8), -1)
 
 
+def _turn(img, k, flip):
+    """``img`` turned by k quarter turns, then flipped horizontally if asked."""
+    out = np.rot90(img, k)
+    return out[:, ::-1] if flip else out
+
+
 class TestMirrorCommutes:
-    """A horizontal flip commutes bit for bit with the non-geometric transforms."""
+    """Horizontal flips and right-angle turns commute bit for bit with the
+    non-geometric transforms."""
 
     images = arrays(
         np.uint8,
         st.tuples(st.integers(1, 9), st.integers(1, 9), st.just(3)),
     )
+    # non-square, so a quarter turn changes the shape
+    oblong = arrays(
+        np.uint8,
+        st.tuples(st.integers(1, 9), st.integers(1, 9))
+        .filter(lambda hw: hw[0] != hw[1])
+        .map(lambda hw: (*hw, 3)),
+    )
     factors = st.floats(0.05, 4.0)
+    turns = st.integers(1, 3)
 
     @given(images, factors, factors)
     def test_adjust_color(self, img, saturation, exposure):
@@ -217,6 +240,24 @@ class TestMirrorCommutes:
     @given(images, factors)
     def test_contrast(self, img, factor):
         assert np.array_equal(contrast(img[:, ::-1], factor), contrast(img, factor)[:, ::-1])
+
+    @given(oblong, turns, st.booleans(), factors, factors)
+    def test_adjust_color_turned(self, img, k, flip, saturation, exposure):
+        assert np.array_equal(
+            adjust_color(_turn(img, k, flip), saturation, exposure),
+            _turn(adjust_color(img, saturation, exposure), k, flip),
+        )
+
+    # radii up to 12 exceed every side of these images
+    @given(oblong, turns, st.booleans(), st.integers(0, 12))
+    def test_blur_turned(self, img, k, flip, radius):
+        assert np.array_equal(blur(_turn(img, k, flip), radius),
+                              _turn(blur(img, radius), k, flip))
+
+    @given(oblong, turns, st.booleans(), factors)
+    def test_contrast_turned(self, img, k, flip, factor):
+        assert np.array_equal(contrast(_turn(img, k, flip), factor),
+                              _turn(contrast(img, factor), k, flip))
 
 
 # Reference kernels: the straightforward full-array forms of the pixel
@@ -643,7 +684,7 @@ def _reference_variants(image, anns, stem, spec):
 
 
 FULL_GRID = AugmentSpec(
-    rotations=(0.0, 37.5, 90.0),
+    rotations=(0.0, 37.5, 90.0, 180.0, 270.0),
     saturation_factors=(1.0, 1.6),
     exposure_factors=(1.0, 0.7),
     mirror=True,
@@ -675,7 +716,7 @@ class TestExpandEquivalence:
             for stem, image, anns in sources
             for variant in _reference_variants(image, anns, stem, FULL_GRID)
         ]
-        assert len(expected) == 2 * 3 * 2 * 2 * 2 * 3 * 2
+        assert len(expected) == 2 * 5 * 2 * 2 * 2 * 3 * 2
         assert len(result.entries) == len(expected)
         for (img_out, ann_out), (name, pixels, anns) in zip(result.entries, expected):
             assert os.path.basename(img_out) == name + ".ppm"
@@ -685,7 +726,8 @@ class TestExpandEquivalence:
             assert open(ann_out, "rb").read() == (ref_dir / "v.txt").read_bytes(), name
 
     def test_each_prefix_computed_once(self, tmp_path, monkeypatch):
-        calls = {"rotate_with_boxes": [], "adjust_color": [], "blur": []}
+        names = ("rotate_with_boxes", "adjust_color", "blur", "mirror_with_boxes", "contrast")
+        calls = {fn_name: [] for fn_name in names}
         for fn_name, log in calls.items():
             original = getattr(detfuse.augment, fn_name)
 
@@ -696,14 +738,21 @@ class TestExpandEquivalence:
             monkeypatch.setattr(detfuse.augment, fn_name, counted)
         manifest, _ = _write_source(tmp_path, np.random.default_rng(19), n_images=2)
         result = expand_dataset(manifest, FULL_GRID, tmp_path / "out")
-        assert len(result.entries) == 2 * 144
-        n_rot, n_color, n_radii = 3, 2 * 2, 3
-        assert len(calls["rotate_with_boxes"]) == 2 * n_rot
-        assert len(calls["adjust_color"]) == 2 * n_rot * n_color
-        assert len(calls["blur"]) == 2 * n_rot * n_color * n_radii
-        assert calls["rotate_with_boxes"][:n_rot] == [(0.0,), (37.5,), (90.0,)]
-        assert calls["adjust_color"][:n_color] == [(1.0, 1.0), (1.0, 0.7), (1.6, 1.0), (1.6, 0.7)]
-        assert calls["blur"][:n_radii] == [(0,), (1,), (40,)]
+        assert len(result.entries) == 2 * 240
+        # per image: the source canvas serves 0/90/180/270 and 37.5 resamples
+        # its own; identity colour and radius 0 are not computed
+        n_canvas, n_color, n_radii = 2, 2 * 2, 3
+        assert len(calls["adjust_color"]) == 2 * n_canvas * (n_color - 1)
+        assert len(calls["blur"]) == 2 * n_canvas * n_color * (n_radii - 1)
+        assert calls["adjust_color"][:n_color - 1] == [(1.0, 0.7), (1.6, 1.0), (1.6, 0.7)]
+        assert calls["blur"][:n_radii - 1] == [(1,), (40,)]
+        # the turns come last, once per source-canvas colour and radius, and
+        # each then mirrors once; contrast 1 is passed on without a call
+        per_image = [(a,) for a in (0.0, 90.0, 180.0, 270.0)] * (n_color * n_radii) + [(37.5,)]
+        assert calls["rotate_with_boxes"] == per_image * 2
+        assert len(calls["mirror_with_boxes"]) == 2 * 5 * n_color * n_radii
+        assert len(calls["contrast"]) == 2 * 5 * n_color * n_radii * 2
+        assert all(args == (1.3,) for args in calls["contrast"])
 
 
 class TestNamePlanning:

@@ -242,6 +242,7 @@ def test_eval_bad_iou_threshold_exit_code(tmp_path, capsys, value):
         (["--image-size", "infx10", "--fp-rate", "1"], "image_size"),
         (["--image-size", "0x0"], "image_size"),
         (["--image-size", "nanx10"], "image_size"),
+        (["--models", "1001"], "k_models"),
     ],
 )
 def test_synth_bad_argument_exit_code(tmp_path, capsys, flags, message):

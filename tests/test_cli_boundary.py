@@ -7,8 +7,10 @@ or 4 (argparse's ``SystemExit(2)`` counts as 2), no exception escapes
 ``cli.main``, and a non-zero exit leaves the files and directories under
 the working directory as they were.
 
-The count-like synth flags run in a child process whose address space is
-capped, so a lost bound fails the test instead of exhausting memory.
+Each integer flag also gets LARGE_INT, which argparse accepts, so the
+command's own bound (or its lack) decides the exit. The count-like synth
+flags run in a child process whose address space is capped, so a lost
+bound fails the test instead of exhausting memory.
 """
 
 import argparse
@@ -23,10 +25,11 @@ import pytest
 
 import detfuse
 from detfuse import Box, Detection, GroundTruthRecord
-from detfuse.cli import build_parser, main
+from detfuse.cli import _int_list, build_parser, main
 from detfuse.io import save_annotations, save_detections, write_manifest, write_ppm
 
 VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
+LARGE_INT = "1000000000"
 ALLOWED_EXITS = {0, 2, 3, 4}
 COUNT_LIKE = {("synth", "--fp-rate"), ("synth", "--models")}
 CHILD_ADDRESS_SPACE = 1 << 30  # bytes; numpy imports in well under this
@@ -34,19 +37,30 @@ SRC = str(Path(detfuse.__file__).resolve().parent.parent)
 CHILD_MAIN = "import sys; from detfuse.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _numeric_flags():
-    """(command, flag) for every option of every subcommand that converts its value."""
+def _numeric_actions():
+    """(command, action) for every option of every subcommand that converts its value."""
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return [
-        (command, action.option_strings[0])
+        (command, action)
         for command, p in sub.choices.items()
         for action in p._actions
         if action.option_strings and action.type is not None
     ]
 
 
-CASES = [(c, f, v) for c, f in _numeric_flags() for v in VALUES]
+def _numeric_flags():
+    return [(command, action.option_strings[0]) for command, action in _numeric_actions()]
+
+
+INT_FLAGS = {
+    (command, action.option_strings[0])
+    for command, action in _numeric_actions()
+    if action.type in (int, _int_list)
+}
+CASES = [(c, f, v) for c, f in _numeric_flags() for v in VALUES] + [
+    (c, f, LARGE_INT) for c, f in _numeric_flags() if (c, f) in INT_FLAGS
+]
 
 
 def _inputs(tmp_path):
@@ -117,6 +131,8 @@ def test_every_numeric_flag_is_driven():
     # of them (its type= removed)
     assert len(_numeric_flags()) == 16
     assert COUNT_LIKE <= set(_numeric_flags())
+    assert INT_FLAGS == {("eval", "--n-blocks"), ("augment", "--blur-radii"),
+                         ("synth", "--models"), ("synth", "--seed")}
 
 
 @pytest.mark.parametrize("command, flag, value", CASES, ids=[f"{c}{f}={v}" for c, f, v in CASES])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -156,6 +157,30 @@ def test_negative_weights_rejected():
         LossWeights(lambda_coord=-1.0)
     with pytest.raises(ContractError):
         LossWeights(lambda_noobj=-0.5)
+
+
+@pytest.mark.parametrize("field", ["lambda_coord", "lambda_noobj"])
+def test_nan_weights_rejected(field):
+    with pytest.raises(ContractError, match="finite"):
+        LossWeights(**{field: math.nan})
+
+
+@pytest.mark.parametrize("field", ["lambda_coord", "lambda_noobj"])
+def test_infinite_weights_rejected(field):
+    with pytest.raises(ContractError, match="finite"):
+        LossWeights(**{field: math.inf})
+
+
+@pytest.mark.parametrize("wh", [(math.nan, 1.0), (1.0, math.nan)])
+def test_nan_wh_rejected(wh):
+    with pytest.raises(ContractError):
+        CellBoxTarget(0, 0, *wh, True, 0.5, 0)
+    grid = [[CellBoxPrediction(0, 0, *wh, 0, (1.0,))]]
+    targets = [[CellBoxTarget(0, 0, 1, 1, True, 0.5, 0)]]
+    with pytest.raises(ContractError):
+        yolo_loss(grid, targets)
+    with pytest.raises(ContractError):
+        yolo_loss_grad(grid, targets)
 
 
 def test_responsible_target_validation():

@@ -16,7 +16,7 @@ from detfuse import (
     random_ground_truth,
 )
 from detfuse.io import save_detections
-from detfuse.synth import MAX_FP_RATE
+from detfuse.synth import MAX_FP_RATE, MAX_MODELS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -143,6 +143,14 @@ def test_fp_rate_bound_is_inclusive():
     gts = [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))]
     dets = generate_model_detections(gts, NoiseModel(drop_rate=1.0, fp_rate=MAX_FP_RATE))
     assert 800 < len(dets) < 1200
+
+
+def test_models_bound_is_inclusive():
+    gts = [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))]
+    assert len(generate_ensemble(gts, NoiseModel(), MAX_MODELS)) == MAX_MODELS
+    for k in (0, MAX_MODELS + 1, 10**18):
+        with pytest.raises(ContractError, match="k_models"):
+            generate_ensemble(gts, NoiseModel(), k)
 
 
 @pytest.mark.parametrize(
