@@ -30,6 +30,7 @@ from .fusion import Detection
 from .geometry import MIN_NORMAL, Box, area, check_iou_threshold, iou
 
 
+@dataclass(frozen=True, init=False)
 class GroundTruthRecord(Record):
     """One labeled object instance in one image."""
 
@@ -62,15 +63,18 @@ class MatchOutcome:
 
 @dataclass
 class PRCurve:
-    """Ordered (recall, precision) points, one per ranked detection."""
+    """Ordered (recall, precision) points in [0, 1] x [0, 1], one per ranked detection."""
 
     points: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        recalls = [r for r, _ in self.points]
-        # `not a <= b` also rejects a NaN between two points
-        if any(not a <= b for a, b in zip(recalls, recalls[1:])):
-            raise ContractError("recall must be non-decreasing along the curve")
+        last = 0.0
+        for r, p in self.points:
+            if not (0.0 <= r <= 1.0 and 0.0 <= p <= 1.0):  # NaN fails too
+                raise ContractError(f"PR point {(r, p)} outside [0, 1] x [0, 1]")
+            if r < last:
+                raise ContractError("recall must be non-decreasing along the curve")
+            last = r
 
 
 @dataclass(frozen=True)

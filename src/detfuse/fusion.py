@@ -38,6 +38,7 @@ PROB_MAX = "max"
 PROB_MODES = (PROB_SCALED_MAX, PROB_MAX)
 
 
+@dataclass(frozen=True, init=False)
 class Detection(Record):
     """One model's prediction: a box, a class, a probability and a source tag."""
 
@@ -85,6 +86,7 @@ class Cluster:
         return self.members[0].class_id
 
 
+@dataclass(frozen=True, init=False)
 class ClusterSummary(Record):
     """Aggregate box, probability and class of a cluster, plus member count."""
 

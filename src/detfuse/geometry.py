@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from math import isfinite
 
 from ._record import Record
@@ -13,6 +14,7 @@ from .errors import ContractError
 MIN_NORMAL = sys.float_info.min
 
 
+@dataclass(frozen=True, init=False)
 class Box(Record):
     """Axis-aligned rectangle in continuous pixel coordinates.
 
@@ -27,20 +29,20 @@ class Box(Record):
     y2: float
 
     def __init__(self, x1: float, y1: float, x2: float, y2: float) -> None:
-        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
-            raise ContractError(f"box coordinates must be finite: {self._format(x1, y1, x2, y2)}")
-        if x2 < x1 or y2 < y1:
-            raise ContractError(f"box corners out of order: {self._format(x1, y1, x2, y2)}")
         _set_x1(self, x1)
         _set_y1(self, y1)
         _set_x2(self, x2)
         _set_y2(self, y2)
+        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
+            raise ContractError(f"box coordinates must be finite: {self!r}")
+        if x2 < x1 or y2 < y1:
+            raise ContractError(f"box corners out of order: {self!r}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-# slot setters for __init__, since Record.__setattr__ refuses assignment
+# slot setters for __init__, since the frozen __setattr__ refuses assignment
 _set_x1, _set_y1, _set_x2, _set_y2 = (getattr(Box, n).__set__ for n in Box.__slots__)
 
 

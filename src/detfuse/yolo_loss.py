@@ -96,8 +96,8 @@ TargetGrid = Sequence[Sequence[CellBoxTarget]]
 
 
 def _check_layout(grid: Grid, targets: TargetGrid) -> None:
-    """Congruent cells, one class count across the grid, and a responsible
-    target's class among the predicted ones."""
+    """Congruent cells, one class count across the grid, finite float
+    fields, and a responsible target's class among the predicted ones."""
     if len(grid) != len(targets):
         raise ContractError(
             f"prediction grid has {len(grid)} cells, targets {len(targets)}"
@@ -116,6 +116,10 @@ def _check_layout(grid: Grid, targets: TargetGrid) -> None:
                     f"cell {ci}: {len(p.class_probs)} class probabilities, "
                     f"expected {n_classes} as in the first prediction"
                 )
+            if not all(map(math.isfinite, (p.x, p.y, p.w, p.h, p.conf, *p.class_probs))):
+                raise ContractError(f"cell {ci}: non-finite field in {p!r}")
+            if not all(map(math.isfinite, (t.x, t.y, t.w, t.h, t.target_conf))):
+                raise ContractError(f"cell {ci}: non-finite field in {t!r}")
             if t.responsible and not 0 <= t.target_class < n_classes:
                 raise ContractError(
                     f"cell {ci}: target_class {t.target_class} outside the "
@@ -128,9 +132,9 @@ def yolo_loss(
 ) -> LossBreakdown:
     """Compute the loss decomposition over a grid of box predictions.
 
-    Raises ContractError on a layout or class-count mismatch and when a
-    responsible prediction has a negative or NaN width or height (square
-    root undefined).
+    Raises ContractError on a layout or class-count mismatch, on a NaN or
+    infinite float field of a prediction or target, and when a responsible
+    prediction has a negative width or height (square root undefined).
     """
     _check_layout(grid, targets)
     err_center = 0.0
@@ -162,8 +166,9 @@ def yolo_loss_grad(
 ) -> list[list[PredictionGradient]]:
     """Analytic gradient of the total loss w.r.t. every prediction field.
 
-    Width/height gradients require w > 0 and h > 0 on responsible
-    predictions (the square-root term is not differentiable at 0).
+    Every float field must be finite, as in ``yolo_loss``. Width/height
+    gradients require w > 0 and h > 0 on responsible predictions (the
+    square-root term is not differentiable at 0).
     """
     _check_layout(grid, targets)
     out: list[list[PredictionGradient]] = []

@@ -4,6 +4,7 @@ import os
 import tracemalloc
 
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -599,11 +600,11 @@ class TestExpandDataset:
         spec = AugmentSpec(rotations=(0.0, 90.0), saturation_factors=(1.0, 1.5), mirror=True)
         r1 = expand_dataset(manifest, spec, tmp_path / "out1")
         r2 = expand_dataset(manifest, spec, tmp_path / "out2")
-        m1 = open(r1.manifest_path, "rb").read().replace(b"out1", b"out2")
-        m2 = open(r2.manifest_path, "rb").read()
+        m1 = Path(r1.manifest_path).read_bytes().replace(b"out1", b"out2")
+        m2 = Path(r2.manifest_path).read_bytes()
         assert m1 == m2
         for (a, _), (b, _) in zip(r1.entries, r2.entries):
-            assert open(a, "rb").read() == open(b, "rb").read()
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_box_conservation_counts(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -626,7 +627,7 @@ class TestExpandDataset:
         result = expand_dataset(
             manifest, AugmentSpec(rotations=(0.0, 90.0)), tmp_path / "out"
         )
-        lines = open(result.provenance_path).read().splitlines()
+        lines = Path(result.provenance_path).read_text().splitlines()
         assert len(lines) == 2
         for line in lines:
             derived, source = line.split()
@@ -722,8 +723,8 @@ class TestExpandEquivalence:
             assert os.path.basename(img_out) == name + ".ppm"
             write_ppm(ref_dir / "v.ppm", pixels)
             save_annotations(ref_dir / "v.txt", anns)
-            assert open(img_out, "rb").read() == (ref_dir / "v.ppm").read_bytes(), name
-            assert open(ann_out, "rb").read() == (ref_dir / "v.txt").read_bytes(), name
+            assert Path(img_out).read_bytes() == (ref_dir / "v.ppm").read_bytes(), name
+            assert Path(ann_out).read_bytes() == (ref_dir / "v.txt").read_bytes(), name
 
     def test_each_prefix_computed_once(self, tmp_path, monkeypatch):
         names = ("rotate_with_boxes", "adjust_color", "blur", "mirror_with_boxes", "contrast")

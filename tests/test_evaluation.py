@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -137,6 +138,24 @@ class TestAveragePrecision:
         # a NaN compares false both ways, so it must not pass as "not decreasing"
         with pytest.raises(ContractError):
             PRCurve([(0.5, 1.0), (float("nan"), 1.0), (0.3, 1.0)])
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (0.5, 3.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf), (0.5, 1.0000000000000002),
+            (2.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (-0.1, 0.5), (0.5, -5e-324),
+        ],
+    )
+    def test_point_outside_unit_square_rejected(self, point):
+        # (0.5, 3.0) used to give AP 1.8, (0.5, -1.0) AP -0.6 and (0.5, nan) AP nan
+        with pytest.raises(ContractError, match="outside"):
+            PRCurve([point])
+        with pytest.raises(ContractError, match="outside"):
+            PRCurve([(0.0, 1.0), point, (1.0, 1.0)])
+
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (-0.0, -0.0)])
+    def test_unit_square_corners_accepted(self, point):
+        assert 0.0 <= average_precision(PRCurve([point]), 4) <= 1.0
 
     def test_returns_a_float(self):
         assert type(average_precision(PRCurve([(0.5, 1.0)]), 4)) is float

@@ -183,6 +183,35 @@ def test_nan_wh_rejected(wh):
         yolo_loss_grad(grid, targets)
 
 
+PRED_FIELDS = {"x": 0.5, "y": 0.5, "w": 1.0, "h": 1.0, "conf": 0.5, "class_probs": (0.2, 0.8)}
+TARGET_FIELDS = {"x": 0.5, "y": 0.5, "w": 1.0, "h": 1.0, "target_conf": 0.5}
+
+
+@pytest.mark.parametrize("fn", [yolo_loss, yolo_loss_grad])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("responsible", [True, False])
+@pytest.mark.parametrize(
+    "side, field", [("pred", f) for f in PRED_FIELDS] + [("target", f) for f in TARGET_FIELDS]
+)
+def test_non_finite_fields_rejected(fn, bad, responsible, side, field):
+    # before the check, a responsible x = nan gave total = nan, a target or
+    # prediction w = inf gave err_wh = inf, and a non-responsible conf = nan
+    # gave err_conf = nan
+    pred, target = dict(PRED_FIELDS), dict(TARGET_FIELDS)
+    if side == "pred":
+        pred[field] = (bad, 0.8) if field == "class_probs" else bad
+    else:
+        target[field] = bad
+    if responsible and side == "target" and field in ("w", "h") and not bad > 0:
+        with pytest.raises(ContractError, match="positive w, h"):
+            CellBoxTarget(**target, responsible=True, target_class=1)
+        return
+    grid = [[CellBoxPrediction(**pred)]]
+    targets = [[CellBoxTarget(**target, responsible=responsible, target_class=1)]]
+    with pytest.raises(ContractError, match="non-finite"):
+        fn(grid, targets)
+
+
 def test_responsible_target_validation():
     with pytest.raises(ContractError):
         CellBoxTarget(0, 0, 1, 1, True, 0.5, None)

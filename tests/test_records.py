@@ -206,3 +206,65 @@ def test_records_allocate_less_than_dataclasses():
         tracemalloc.stop()
     assert len(dets) == n
     assert used / n <= 180
+
+
+SAMPLES = {
+    "Box": (0.0, 1.0, 2.0, 3.0),
+    "Detection": ((0.0, 1.0, 2.0, 3.0), 1, 0.5, 2, "a"),
+    "ClusterSummary": ((0.0, 1.0, 2.0, 3.0), 0.25, 1, 3),
+    "GroundTruthRecord": ("a", 1, (0.0, 1.0, 2.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_records_are_dataclasses_over_their_slots(kind):
+    cls = KINDS[kind][0]
+    rec = build(kind, SAMPLES[kind], False)
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(rec)
+    assert tuple(f.name for f in dataclasses.fields(rec)) == cls.__slots__
+
+
+# (kind, field, bad value); a replaced field goes through the validating __init__
+BAD_REPLACEMENTS = [
+    ("Box", "x1", math.nan),
+    ("Box", "y2", math.inf),
+    ("Box", "x2", -1.0),
+    ("Detection", "prob", 1.5),
+    ("Detection", "prob", math.nan),
+    ("Detection", "class_id", -1),
+    ("GroundTruthRecord", "class_id", -1),
+]
+
+
+@pytest.mark.parametrize("kind, name, bad", BAD_REPLACEMENTS)
+def test_replace_revalidates_with_the_constructor_message(kind, name, bad):
+    rec = build(kind, SAMPLES[kind], False)
+    values = [bad if f == name else getattr(rec, f) for f in FIELDS[kind]]
+    with pytest.raises(ContractError) as expected:
+        KINDS[kind][0](*values)
+    with pytest.raises(ContractError) as got:
+        dataclasses.replace(rec, **{name: bad})
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_replace_with_good_values_builds_the_record(kind):
+    rec = build(kind, SAMPLES[kind], False)
+    assert dataclasses.replace(rec) == rec
+    name = FIELDS[kind][-1]
+    new = "b" if name == "image_id" else Box(0, 0, 1, 1) if name == "box" else 2
+    assert dataclasses.replace(rec, **{name: new}) == KINDS[kind][0](
+        *(new if f == name else getattr(rec, f) for f in FIELDS[kind])
+    )
+
+
+def test_asdict_nests_the_box():
+    d = Detection(Box(0.0, 1.0, 2.0, 3.0), 1, 0.5, 2, "a")
+    assert dataclasses.asdict(d) == {
+        "box": {"x1": 0.0, "y1": 1.0, "x2": 2.0, "y2": 3.0},
+        "class_id": 1,
+        "prob": 0.5,
+        "model_id": 2,
+        "image_id": "a",
+    }
+    assert dataclasses.astuple(d) == ((0.0, 1.0, 2.0, 3.0), 1, 0.5, 2, "a")
