@@ -17,7 +17,7 @@ import os
 import tempfile
 from collections import defaultdict
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from detfuse import Box, Detection, GroundTruthRecord
 from detfuse.cli import EXIT_OK, main
@@ -84,9 +84,12 @@ def _read_report(path):
     return out
 
 
+# No shrink phase: each example writes files and runs two commands, and
+# shrinking a failing dataset took 150 to over 300 s to report it.
 @settings(
     max_examples=150,
     derandomize=True,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
