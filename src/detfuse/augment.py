@@ -40,7 +40,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,9 +173,12 @@ def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
 def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
     """Rotate image and boxes about the image center, expanding the canvas.
 
-    Boxes collapsing to zero area after clipping are dropped. The continuous
-    corner mapping uses exact trigonometric values for multiples of 90
-    degrees, so four 90-degree rotations compose to the exact identity.
+    Boxes collapsing to zero area after clipping are dropped. At multiples
+    of 90 degrees the pixels move by an exact permutation (``np.rot90``),
+    but the boxes still go through the float corner map
+    ``ncx + (x - cx)*cos - (y - cy)*sin``, ``ncy + (x - cx)*sin + (y - cy)*cos``
+    with exact sin and cos. That map rounds, so a 0-degree turn, or four
+    90-degree turns, can move a box coordinate in its last bits.
     """
     if not 0 <= angle < 360:
         raise ContractError(f"angle must be in [0, 360), got {angle}")
@@ -222,11 +227,14 @@ def mirror_with_boxes(src: AnnotatedImage) -> AnnotatedImage:
     h, w = src.image.shape[:2]
     wpx = float(w)
     # reversing each row's bytes reverses the pixels and their channel order;
-    # swapping channels 0 and 2 back costs less than a strided pixel copy
+    # swapping channels 0 and 2 back costs less than a strided pixel copy,
+    # and done one band of rows at a time it needs no full-size temporary
     img = np.ascontiguousarray(src.image.reshape(h, w * 3)[:, ::-1]).reshape(h, w, 3)
-    red = img[..., 2].copy()
-    img[..., 2] = img[..., 0]
-    img[..., 0] = red
+    for r0, r1 in _row_bands(h, w):
+        band = img[r0:r1]
+        red = band[..., 2].copy()
+        band[..., 2] = band[..., 0]
+        band[..., 0] = red
     anns = [
         GroundTruthRecord(
             a.image_id, a.class_id, Box(wpx - a.box.x2, a.box.y1, wpx - a.box.x1, a.box.y2)
@@ -397,17 +405,76 @@ def _variant_name(stem: str, rot: float, sat: float, exp: float,
     return name
 
 
-def _canvases(src: AnnotatedImage, rotations: tuple[float, ...]):
-    """``(canvas, [(angle, turn), ...])`` for the rotation grid, one canvas at
-    a time: the source itself for every right angle, each turned by its
-    angle later, and one resampled canvas per other angle, whose turn is
-    ``None`` because it is already rotated."""
+class _Axes(NamedTuple):
+    """The product axes of an ``AugmentSpec`` after rotation, in plan order;
+    mirror, blur radius and contrast lead with their identity setting."""
+
+    colors: list[tuple[float, float]]
+    mirrors: list[bool]
+    radii: list[int]
+    cfacs: list[float]
+
+
+def _canvas_plan(rotations: tuple[float, ...]) -> list[tuple[float | None, list]]:
+    """``(resample, [(angle, turn), ...])`` per canvas of the rotation grid:
+    the source itself (``resample`` is ``None``) for every right angle, each
+    turned by its angle later, and one canvas resampled at each other angle,
+    whose turn is ``None`` because it is already rotated."""
     right = [(rot, rot) for rot in rotations if rot in _EXACT_TRIG]
-    if right:
-        yield src, right
-    for rot in rotations:
-        if rot not in _EXACT_TRIG:
-            yield rotate_with_boxes(src, rot), [(rot, None)]
+    plan: list[tuple[float | None, list]] = [(None, right)] if right else []
+    return plan + [(rot, [(rot, None)]) for rot in rotations if rot not in _EXACT_TRIG]
+
+
+def _expand_canvas(src: AnnotatedImage, resample: float | None, turns: list,
+                   axes: _Axes, prefix: str) -> int:
+    """Write every variant of one canvas of ``src``; returns the boxes written.
+
+    ``prefix`` is the output directory joined with the image stem, which the
+    variant names extend. The canvas is released after its last color, a
+    colored array after its last blur radius and a blurred one after its
+    last turn.
+    """
+    canvas = src if resample is None else rotate_with_boxes(src, resample)
+    boxes = canvas.annotations
+    emitted = 0
+    for i, (sat, exp) in enumerate(axes.colors):
+        colored = canvas.image
+        if (sat, exp) != (1.0, 1.0):
+            colored = adjust_color(colored, sat, exp)
+        if i == len(axes.colors) - 1:
+            del canvas
+        for j, radius in enumerate(axes.radii):
+            blurred = blur(colored, radius) if radius else colored
+            if j == len(axes.radii) - 1:
+                del colored
+            for rot, turn in turns:
+                name_of = partial(_variant_name, prefix, rot, sat, exp, radius=radius)
+                emitted += _write_turn(AnnotatedImage(blurred, boxes), turn, axes, name_of)
+            del blurred
+    return emitted
+
+
+def _write_turn(variant: AnnotatedImage, turn: float | None, axes: _Axes, name_of) -> int:
+    """Turn a colored and blurred canvas by its right angle (``None``: it is
+    rotated already), then write it and its mirror at every contrast factor
+    to the paths ``name_of(mirrored, cfac=...)``; returns the boxes written.
+
+    The turned pixels are released once the mirror is made, the mirror when
+    this returns, and each contrast-scaled copy once it is written.
+    """
+    if turn is not None:
+        variant = rotate_with_boxes(variant, turn)
+    emitted = 0
+    for mirrored in axes.mirrors:
+        if mirrored:  # the unmirrored variant's files are written by now
+            variant = mirror_with_boxes(variant)
+        for cfac in axes.cfacs:
+            base = name_of(mirrored, cfac=cfac)
+            write_ppm(base + ".ppm",
+                      variant.image if cfac == 1.0 else contrast(variant.image, cfac))
+            save_annotations(base + ".txt", variant.annotations)
+            emitted += len(variant.annotations)
+    return emitted
 
 
 def expand_dataset(
@@ -445,6 +512,17 @@ def expand_dataset(
     window maps onto one with the same integer sum and in-bounds count, so
     every derived byte equals the per-variant composition rotate, mirror,
     color, blur, contrast.
+
+    Each canvas-sized array is released at its last use: an image before the
+    next is read, a canvas after its last color, a colored array after its
+    last blur radius, a turned one once its mirror is made and a mirrored or
+    contrast-scaled one once its files are written. So besides the source,
+    at most one array per transform stage is alive, and none for a stage
+    at its identity or past its last use. On the grid of the
+    ``augment-grid`` benchmark that is three arrays of the largest canvas:
+    the canvas, a blurred copy and its mirror.
+    ``tests/test_augment.py::test_expand_working_set_is_bounded`` holds the
+    ``tracemalloc`` peak there to 4.5 such canvases.
     """
     sources = read_manifest(manifest_path)
     out_dir = os.path.abspath(out_dir)
@@ -452,11 +530,13 @@ def expand_dataset(
     # put whitespace into a derived path
     if any(c.isspace() for c in out_dir):
         raise ContractError(f"output directory path contains whitespace: {out_dir!r}")
-    colors = list(product(spec.saturation_factors, spec.exposure_factors))
-    mirrors = [False] + ([True] if spec.mirror else [])
-    radii = [0, *spec.blur_radii]
-    cfacs = [1.0, *spec.contrast_factors]
-    n_variants = len(spec.rotations) * len(colors) * len(mirrors) * len(radii) * len(cfacs)
+    axes = _Axes(
+        colors=list(product(spec.saturation_factors, spec.exposure_factors)),
+        mirrors=[False] + ([True] if spec.mirror else []),
+        radii=[0, *spec.blur_radii],
+        cfacs=[1.0, *spec.contrast_factors],
+    )
+    n_variants = len(spec.rotations) * math.prod(map(len, axes))
     planned: dict[str, str] = {}
     for image_path, _ in sources:
         # a source path resolved against a manifest directory that contains
@@ -464,9 +544,7 @@ def expand_dataset(
         if any(c.isspace() for c in image_path):
             raise ContractError(f"source image path contains whitespace: {image_path!r}")
         stem = image_id_from_path(image_path)
-        for rot, (sat, exp), mirrored, radius, cfac in product(
-            spec.rotations, colors, mirrors, radii, cfacs
-        ):
+        for rot, (sat, exp), mirrored, radius, cfac in product(spec.rotations, *axes):
             name = _variant_name(stem, rot, sat, exp, mirrored, radius, cfac)
             if len(os.fsencode(name + ".ppm")) > _NAME_MAX:
                 raise ContractError(
@@ -487,33 +565,16 @@ def expand_dataset(
     for image_path, ann_path in sources:
         stem = image_id_from_path(image_path)
         try:
-            img = read_ppm(image_path)
-            anns = load_annotations(ann_path, stem)
+            src = AnnotatedImage(read_ppm(image_path), load_annotations(ann_path, stem))
         except (OSError, DetfuseError) as e:
             errors.append(f"{image_path}: {e}")
             continue
         written.add(image_path)
-        boxes_in += len(anns) * n_variants
-        for canvas, turns in _canvases(AnnotatedImage(img, anns), spec.rotations):
-            for sat, exp in colors:
-                colored = canvas.image
-                if (sat, exp) != (1.0, 1.0):
-                    colored = adjust_color(colored, sat, exp)
-                for radius in radii:
-                    blurred = blur(colored, radius) if radius else colored
-                    for rot, turn in turns:
-                        turned = AnnotatedImage(blurred, canvas.annotations)
-                        if turn is not None:
-                            turned = rotate_with_boxes(turned, turn)
-                        for mirrored in mirrors:
-                            work = mirror_with_boxes(turned) if mirrored else turned
-                            for cfac in cfacs:
-                                name = _variant_name(stem, rot, sat, exp, mirrored, radius, cfac)
-                                pixels = work.image if cfac == 1.0 else contrast(work.image, cfac)
-                                write_ppm(os.path.join(out_dir, name + ".ppm"), pixels)
-                                save_annotations(os.path.join(out_dir, name + ".txt"),
-                                                 work.annotations)
-                                boxes_emitted += len(work.annotations)
+        boxes_in += len(src.annotations) * n_variants
+        prefix = os.path.join(out_dir, stem)
+        for resample, turns in _canvas_plan(spec.rotations):
+            boxes_emitted += _expand_canvas(src, resample, turns, axes, prefix)
+        del src  # released before the next image is read
     # the bookkeeping follows the plan, not the order the files were written
     entries: list[tuple[str, str]] = []
     provenance: list[tuple[str, str]] = []

@@ -11,17 +11,23 @@ reloads what the commands wrote and compares it with ``==``:
   ``test_fusion.check_against_replay``;
 * the ``.tsv`` report against ``brute_force_evaluate`` on the reloaded
   fused records.
+
+The same checks run on a fixed ``synth --conf-noise 5 -> fuse -> eval``
+pipeline, whose inputs come from ``synth`` rather than from hypothesis.
 """
 
 import os
+import sys
 import tempfile
 from collections import defaultdict
 
+import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from detfuse import Box, Detection, GroundTruthRecord
 from detfuse.cli import EXIT_OK, main
 from detfuse.io import load_detections, save_annotations, save_detections, write_manifest
+from detfuse.synth import random_ground_truth
 
 from oracles import brute_force_evaluate, replay_merge
 from test_fusion import check_against_replay
@@ -145,3 +151,62 @@ def test_fuse_and_eval_files_match_the_oracles(data):
         n_blocks,
     )
     assert report == expected_report
+
+
+@pytest.mark.parametrize("seed, iou_threshold, n_blocks", [(1, 0.5, 10), (2, 0.25, 101)])
+def test_synth_with_large_confidence_noise_fuses_and_evaluates_exactly(
+    tmp_path, seed, iou_threshold, n_blocks
+):
+    # conf_noise 5 clamps about a third of the confidences to exactly 0.0,
+    # so fuse gets zero scores that join a cluster or are dropped; the
+    # synthetic boxes stay far from subnormal, which iou_ref does not rescale
+    gts = random_ground_truth(5, 3, 10, seed=seed, image_size=(200.0, 150.0))
+    entries = []
+    for image_id in sorted({g.image_id for g in gts}):
+        ann_path = tmp_path / f"{image_id}.txt"
+        save_annotations(ann_path, [g for g in gts if g.image_id == image_id])
+        entries.append((str(tmp_path / f"{image_id}.ppm"), str(ann_path)))
+    manifest = str(tmp_path / "manifest.txt")
+    write_manifest(manifest, entries)
+    prefix = str(tmp_path / "dets")
+    inputs = [f"{prefix}.model{m}.jsonl" for m in range(3)]
+    fused_path = str(tmp_path / "fused.jsonl")
+    report_base = str(tmp_path / "report")
+    threshold = repr(iou_threshold)
+    assert main(["synth", manifest, "--models", "3", "--seed", str(seed), "--jitter", "6",
+                 "--fp-rate", "2", "--drop-rate", "0.2", "--conf-noise", "5",
+                 "--image-size", "200x150", "--out", prefix]) == EXIT_OK
+    assert main(["fuse", *inputs, "--iou-fusion", threshold, "--out", fused_path]) == EXIT_OK
+    assert main(["eval", fused_path, manifest, "--iou-eval", threshold,
+                 "--n-blocks", str(n_blocks), "--out", report_base]) == EXIT_OK
+
+    dets = [d for path in inputs for d in load_detections(path)]
+    assert sum(d.prob == 0.0 for d in dets) > len(dets) // 4
+    assert all(c == 0.0 or abs(c) >= sys.float_info.min
+               for d in dets for c in d.box.as_tuple())
+    by_image = defaultdict(list)
+    for d in dets:
+        by_image[d.image_id].append(d)
+    expected_fused = []
+    lost = []
+    for image_id in sorted(by_image):
+        image_dets = by_image[image_id]
+        lost_here = {id(d) for d in check_against_replay(image_dets, iou_threshold)}
+        kept = [d for d in image_dets if id(d) not in lost_here]
+        lost += lost_here
+        expected = replay_merge(
+            [(d.box.as_tuple(), d.class_id, d.prob, d.model_id) for d in kept], iou_threshold
+        )
+        expected_fused += [
+            (image_id, box, class_id, prob, -1) for _, (box, prob, class_id, _) in expected
+        ]
+    assert lost  # some zero scores overlapped no cluster and were dropped
+    fused = load_detections(fused_path)
+    got_fused = [(d.image_id, d.box.as_tuple(), d.class_id, d.prob, d.model_id) for d in fused]
+    assert got_fused == expected_fused
+    assert _read_report(report_base + ".tsv") == brute_force_evaluate(
+        [(d.image_id, d.class_id, d.box.as_tuple(), d.prob) for d in fused],
+        [(g.image_id, g.class_id, g.box.as_tuple()) for g in gts],
+        iou_threshold,
+        n_blocks,
+    )
