@@ -7,13 +7,18 @@ axis-aligned bounding box of its rotated corners, clipped to the new canvas.
 Rotations by multiples of 90 degrees are exact pixel permutations; other
 angles use bilinear resampling.
 
+Every transform takes an (h, w, 3) uint8 image with h, w >= 1 and raises
+``ContractError`` for anything else.
+
 The pixel kernels compute their output one band of rows at a time, each
-band at most 2**14 pixels (or one row of a wider image), so their float64
+band at most 2**13 pixels (or one row of a wider image), so their float64
 and int64 temporaries stay a few MB whatever the image size; only the
-uint8 output spans the image. They are exact: every output byte has the
-value of its per-pixel float64 formula, evaluated in this order (each
-result rounded half up, ``floor(x + 0.5)``), and the bytes depend neither
-on the band size nor on where the bands start:
+uint8 output spans the image. The mirror flips one band at a time too, so
+it can write into the array it reads and flip an image in place. The
+kernels are exact: every output byte has the value of its per-pixel
+float64 formula, evaluated in this order (each result rounded half up,
+``floor(x + 0.5)``), and the bytes depend neither on the band size nor on
+where the bands start:
 
 - bilinear rotation: source position ``(cx + u*cos) + v*sin - 0.5`` and
   ``(cy - u*sin) + v*cos - 0.5``; tap weight ``wx * wy``; the four taps
@@ -64,7 +69,7 @@ _EXACT_TRIG = {0: (0.0, 1.0), 90: (1.0, 0.0), 180: (0.0, -1.0), 270: (-1.0, 0.0)
 
 # pixels per band of rows that the pixel kernels compute at a time, so their
 # float64 and int64 temporaries stay a few MB whatever the image size
-_BAND_PIXELS = 1 << 14
+_BAND_PIXELS = 1 << 13
 
 # longest file name, in bytes, that common file systems hold
 _NAME_MAX = 255
@@ -103,6 +108,17 @@ class AugmentSpec:
                 raise ContractError(f"factors must be positive and finite, got {f}")
         if any(r < 0 for r in self.blur_radii):
             raise ContractError("blur radii must be non-negative")
+
+
+def _check_image(img: np.ndarray) -> None:
+    """Raise ``ContractError`` unless ``img`` is an (h, w, 3) uint8 array
+    with h, w >= 1."""
+    if not (isinstance(img, np.ndarray) and img.dtype == np.uint8 and img.ndim == 3
+            and img.shape[2] == 3 and img.size):
+        raise ContractError(
+            "image must be an (h, w, 3) uint8 array with h, w >= 1, got"
+            f" {getattr(img, 'shape', type(img).__name__)} {getattr(img, 'dtype', '')}"
+        )
 
 
 def _row_bands(height: int, width: int):
@@ -180,9 +196,10 @@ def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
     with exact sin and cos. That map rounds, so a 0-degree turn, or four
     90-degree turns, can move a box coordinate in its last bits.
     """
+    img = src.image
+    _check_image(img)
     if not 0 <= angle < 360:
         raise ContractError(f"angle must be in [0, 360), got {angle}")
-    img = src.image
     h, w = img.shape[:2]
     exact = _EXACT_TRIG.get(angle)
     if exact is not None:
@@ -222,16 +239,35 @@ def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
     return AnnotatedImage(out_img, anns)
 
 
-def mirror_with_boxes(src: AnnotatedImage) -> AnnotatedImage:
-    """Horizontal flip; box (x1, y1, x2, y2) becomes (W-x2, y1, W-x1, y2)."""
-    h, w = src.image.shape[:2]
+def mirror_with_boxes(src: AnnotatedImage, out: np.ndarray | None = None) -> AnnotatedImage:
+    """Horizontal flip; box (x1, y1, x2, y2) becomes (W-x2, y1, W-x1, y2).
+
+    The flipped pixels go to a new array, or to ``out`` when it is given:
+    a C-contiguous, writeable uint8 array of the source's shape that is
+    either ``src.image`` itself, which flips the source in place, or shares
+    no memory with it. Any other ``out`` raises ``ContractError``. Either
+    way the only full-size array is the output.
+    """
+    img = src.image
+    _check_image(img)
+    if out is None:
+        out = np.empty(img.shape, dtype=np.uint8)
+    elif not (isinstance(out, np.ndarray) and out.shape == img.shape and out.dtype == np.uint8
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ContractError(f"out must be a C-contiguous, writeable uint8 array of shape {img.shape}")
+    elif out is not img and np.shares_memory(out, img):
+        raise ContractError("out must be the source image itself or share no memory with it")
+    h, w = img.shape[:2]
     wpx = float(w)
     # reversing each row's bytes reverses the pixels and their channel order;
-    # swapping channels 0 and 2 back costs less than a strided pixel copy,
-    # and done one band of rows at a time it needs no full-size temporary
-    img = np.ascontiguousarray(src.image.reshape(h, w * 3)[:, ::-1]).reshape(h, w, 3)
+    # swapping channels 0 and 2 back costs less than a strided pixel copy.
+    # Done one band of rows at a time, it needs no full-size temporary: when
+    # out is the source, numpy buffers each overlapping band before writing
+    rows_in = img.reshape(h, w * 3)
+    rows_out = out.reshape(h, w * 3)
     for r0, r1 in _row_bands(h, w):
-        band = img[r0:r1]
+        rows_out[r0:r1] = rows_in[r0:r1, ::-1]
+        band = out[r0:r1]
         red = band[..., 2].copy()
         band[..., 2] = band[..., 0]
         band[..., 0] = red
@@ -241,7 +277,7 @@ def mirror_with_boxes(src: AnnotatedImage) -> AnnotatedImage:
         )
         for a in src.annotations
     ]
-    return AnnotatedImage(img, anns)
+    return AnnotatedImage(out, anns)
 
 
 def _to_uint8(x: np.ndarray) -> np.ndarray:
@@ -267,6 +303,7 @@ def adjust_color(img: np.ndarray, saturation: float = 1.0, exposure: float = 1.0
     per-pixel ``colorsys``-style formulas evaluated in float64 (see the module
     docstring for the operation order).
     """
+    _check_image(img)
     if saturation <= 0 or exposure <= 0:
         raise ContractError("saturation and exposure factors must be positive")
     if saturation == 1.0 and exposure == 1.0:
@@ -327,6 +364,7 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
     Each output byte is ``floor(sum / count + 0.5)`` in float64, where the
     window sum is an exact int64.
     """
+    _check_image(img)
     if radius < 0:
         raise ContractError(f"radius must be non-negative, got {radius}")
     if radius == 0:
@@ -371,6 +409,7 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
 
 def contrast(img: np.ndarray, factor: float) -> np.ndarray:
     """Scale each channel about 128 and clamp; factor 1.0 is the identity."""
+    _check_image(img)
     if factor <= 0:
         raise ContractError(f"contrast factor must be positive, got {factor}")
     if factor == 1.0:
@@ -417,24 +456,30 @@ class _Axes(NamedTuple):
 
 def _canvas_plan(rotations: tuple[float, ...]) -> list[tuple[float | None, list]]:
     """``(resample, [(angle, turn), ...])`` per canvas of the rotation grid:
-    the source itself (``resample`` is ``None``) for every right angle, each
-    turned by its angle later, and one canvas resampled at each other angle,
-    whose turn is ``None`` because it is already rotated."""
+    first the source itself (``resample`` is ``None``) for every right
+    angle, each turned by its angle later, then one canvas resampled at each
+    other angle, whose turn is ``None`` because it is already rotated. The
+    source is needed by no canvas after the last resampled one."""
     right = [(rot, rot) for rot in rotations if rot in _EXACT_TRIG]
     plan: list[tuple[float | None, list]] = [(None, right)] if right else []
     return plan + [(rot, [(rot, None)]) for rot in rotations if rot not in _EXACT_TRIG]
 
 
-def _expand_canvas(src: AnnotatedImage, resample: float | None, turns: list,
-                   axes: _Axes, prefix: str) -> int:
-    """Write every variant of one canvas of ``src``; returns the boxes written.
+def _expand_canvas(held: list[AnnotatedImage], resample: float | None, last: bool,
+                   turns: list, axes: _Axes, prefix: str) -> int:
+    """Write every variant of one canvas of the source ``held[0]``; returns
+    the boxes written.
 
     ``prefix`` is the output directory joined with the image stem, which the
-    variant names extend. The canvas is released after its last color, a
-    colored array after its last blur radius and a blurred one after its
-    last turn.
+    variant names extend. At the ``last`` canvas the source is popped from
+    ``held``, so it is released once that canvas is computed (the source
+    canvas itself lives on to its last color). The canvas is released after
+    its last color, a colored array after its last blur radius and a blurred
+    one after its last turn, which flips it in place.
     """
+    src = held.pop() if last else held[0]
     canvas = src if resample is None else rotate_with_boxes(src, resample)
+    del src
     boxes = canvas.annotations
     emitted = 0
     for i, (sat, exp) in enumerate(axes.colors):
@@ -447,27 +492,36 @@ def _expand_canvas(src: AnnotatedImage, resample: float | None, turns: list,
             blurred = blur(colored, radius) if radius else colored
             if j == len(axes.radii) - 1:
                 del colored
-            for rot, turn in turns:
+            for k, (rot, turn) in enumerate(turns):
                 name_of = partial(_variant_name, prefix, rot, sat, exp, radius=radius)
-                emitted += _write_turn(AnnotatedImage(blurred, boxes), turn, axes, name_of)
+                # a blurred array is this loop's own, and dead after its last turn
+                owned = radius > 0 and k == len(turns) - 1
+                emitted += _write_turn(AnnotatedImage(blurred, boxes), turn, axes, name_of, owned)
             del blurred
     return emitted
 
 
-def _write_turn(variant: AnnotatedImage, turn: float | None, axes: _Axes, name_of) -> int:
+def _write_turn(variant: AnnotatedImage, turn: float | None, axes: _Axes, name_of,
+                owned: bool) -> int:
     """Turn a colored and blurred canvas by its right angle (``None``: it is
     rotated already), then write it and its mirror at every contrast factor
     to the paths ``name_of(mirrored, cfac=...)``; returns the boxes written.
 
-    The turned pixels are released once the mirror is made, the mirror when
-    this returns, and each contrast-scaled copy once it is written.
+    ``owned`` says that nothing reads ``variant.image`` after this call. The
+    mirror flips the pixels in place when they are owned or are a copy that
+    the turn made, and into a new array otherwise. The mirror is released
+    when this returns, and each contrast-scaled copy once it is written.
     """
     if turn is not None:
-        variant = rotate_with_boxes(variant, turn)
+        turned = rotate_with_boxes(variant, turn)
+        # a turn keeps the pixels where they are when their layout allows it
+        # (0 degrees, or 90 of a single row); only a copy is this call's own
+        owned = owned or not np.may_share_memory(turned.image, variant.image)
+        variant = turned
     emitted = 0
     for mirrored in axes.mirrors:
         if mirrored:  # the unmirrored variant's files are written by now
-            variant = mirror_with_boxes(variant)
+            variant = mirror_with_boxes(variant, variant.image if owned else None)
         for cfac in axes.cfacs:
             base = name_of(mirrored, cfac=cfac)
             write_ppm(base + ".ppm",
@@ -513,16 +567,17 @@ def expand_dataset(
     every derived byte equals the per-variant composition rotate, mirror,
     color, blur, contrast.
 
-    Each canvas-sized array is released at its last use: an image before the
-    next is read, a canvas after its last color, a colored array after its
-    last blur radius, a turned one once its mirror is made and a mirrored or
-    contrast-scaled one once its files are written. So besides the source,
-    at most one array per transform stage is alive, and none for a stage
-    at its identity or past its last use. On the grid of the
-    ``augment-grid`` benchmark that is three arrays of the largest canvas:
-    the canvas, a blurred copy and its mirror.
-    ``tests/test_augment.py::test_expand_working_set_is_bounded`` holds the
-    ``tracemalloc`` peak there to 4.5 such canvases.
+    Each canvas-sized array is released at its last use: the source once
+    the last canvas resampled from it is computed (the source canvas comes
+    first), a canvas after its last color, a colored array after its last
+    blur radius, and a mirrored or contrast-scaled one once its files are
+    written. The mirror flips an array in place when nothing reads it later:
+    the copy a right-angle turn makes, or a blurred array at its last turn.
+    So at most two arrays of a canvas are alive at once, an input and the
+    output of the stage at work, plus the source while resampled canvases
+    remain. ``tests/test_augment.py::test_expand_working_set_is_two_canvases``
+    holds the ``tracemalloc`` peak on the grid of the ``augment-grid``
+    benchmark to 3.0 arrays of its largest canvas.
     """
     sources = read_manifest(manifest_path)
     out_dir = os.path.abspath(out_dir)
@@ -537,6 +592,7 @@ def expand_dataset(
         cfacs=[1.0, *spec.contrast_factors],
     )
     n_variants = len(spec.rotations) * math.prod(map(len, axes))
+    plan = _canvas_plan(spec.rotations)
     planned: dict[str, str] = {}
     for image_path, _ in sources:
         # a source path resolved against a manifest directory that contains
@@ -565,16 +621,18 @@ def expand_dataset(
     for image_path, ann_path in sources:
         stem = image_id_from_path(image_path)
         try:
-            src = AnnotatedImage(read_ppm(image_path), load_annotations(ann_path, stem))
+            # the only reference to the source, handed off at its last canvas
+            held = [AnnotatedImage(read_ppm(image_path), load_annotations(ann_path, stem))]
         except (OSError, DetfuseError) as e:
             errors.append(f"{image_path}: {e}")
             continue
         written.add(image_path)
-        boxes_in += len(src.annotations) * n_variants
+        boxes_in += len(held[0].annotations) * n_variants
         prefix = os.path.join(out_dir, stem)
-        for resample, turns in _canvas_plan(spec.rotations):
-            boxes_emitted += _expand_canvas(src, resample, turns, axes, prefix)
-        del src  # released before the next image is read
+        for k, (resample, turns) in enumerate(plan):
+            boxes_emitted += _expand_canvas(held, resample, k == len(plan) - 1,
+                                            turns, axes, prefix)
+        del held  # an empty plan leaves the source here
     # the bookkeeping follows the plan, not the order the files were written
     entries: list[tuple[str, str]] = []
     provenance: list[tuple[str, str]] = []

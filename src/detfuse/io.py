@@ -263,10 +263,12 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
     if maxval != 255:
         raise ParseError(f"{path}: only maxval 255 is supported, got {maxval}")
     n = width * height * 3
-    raster = data[pos : pos + n]
-    if len(raster) != n:
-        raise ParseError(f"{path}: raster has {len(raster)} bytes, expected {n}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
+    # the raster is read in place from the file's bytes, so the peak holds
+    # two copies of it: those bytes and the array returned
+    have = max(0, min(n, len(data) - pos))
+    if have != n:
+        raise ParseError(f"{path}: raster has {have} bytes, expected {n}")
+    return np.frombuffer(data, np.uint8, n, pos).reshape(height, width, 3).copy()
 
 
 def write_ppm(path: str | os.PathLike, img: np.ndarray) -> None:

@@ -26,7 +26,14 @@ from detfuse import (
     mirror_with_boxes,
     rotate_with_boxes,
 )
-from detfuse.io import read_manifest, read_ppm, save_annotations, write_manifest, write_ppm
+from detfuse.io import (
+    load_annotations,
+    read_manifest,
+    read_ppm,
+    save_annotations,
+    write_manifest,
+    write_ppm,
+)
 
 
 def rand_image(rng, w, h):
@@ -126,6 +133,76 @@ class TestMirror:
         assert out.flags.c_contiguous
         assert np.array_equal(img, before)
 
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9), st.just(3))))
+    def test_in_place_equals_flipping_a_copy(self, img):
+        boxes = [ann((0.0, 0.5, img.shape[1], 0.75))]
+        expected = mirror_with_boxes(AnnotatedImage(img.copy(), boxes))
+        got = mirror_with_boxes(AnnotatedImage(img, boxes), img)
+        assert got.image is img
+        assert np.array_equal(img, expected.image)
+        assert got.annotations == expected.annotations
+
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9), st.just(3))))
+    def test_separate_out_leaves_the_source(self, img):
+        before = img.copy()
+        out = np.empty_like(img)
+        assert mirror_with_boxes(AnnotatedImage(img), out).image is out
+        assert np.array_equal(out, before[:, ::-1])
+        assert np.array_equal(img, before)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("h, w", [(23, 9), (1, 9), (33, 1), (10, 14)])
+    def test_bands(self, monkeypatch, rows, h, w):
+        img = rand_image(np.random.default_rng(33), w, h)
+        expected = img[:, ::-1].copy()
+        _set_band_rows(monkeypatch, rows, w)
+        assert np.array_equal(mirror_with_boxes(AnnotatedImage(img)).image, expected)
+        out = np.empty_like(img)
+        mirror_with_boxes(AnnotatedImage(img), out)
+        assert np.array_equal(out, expected)
+        mirror_with_boxes(AnnotatedImage(img), img)
+        assert np.array_equal(img, expected)
+
+    @staticmethod
+    def _read_only(shape):
+        out = np.empty(shape, np.uint8)
+        out.flags.writeable = False
+        return out
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda img: np.empty((4, 6, 3), np.uint8),
+            lambda img: np.empty((4, 5, 3), np.int16),
+            lambda img: np.empty((4, 5, 3)),
+            lambda img: np.empty((4, 10, 3), np.uint8)[:, ::2],
+            lambda img: TestMirror._read_only(img.shape),
+            lambda img: img.tolist(),
+            lambda img: img[...],  # a view of the source, not the source itself
+        ],
+        ids=["shape", "int16", "float64", "strided", "read-only", "list", "view"],
+    )
+    def test_bad_out_rejected(self, make_out):
+        img = rand_image(np.random.default_rng(34), 5, 4)
+        before = img.copy()
+        with pytest.raises(ContractError):
+            mirror_with_boxes(AnnotatedImage(img), make_out(img))
+        assert np.array_equal(img, before)
+
+    def test_partly_overlapping_out_rejected(self):
+        buf = np.zeros(90, np.uint8)
+        src, out = buf[:60].reshape(4, 5, 3), buf[30:].reshape(4, 5, 3)
+        src[...] = rand_image(np.random.default_rng(35), 5, 4)
+        before = buf.copy()
+        with pytest.raises(ContractError):
+            mirror_with_boxes(AnnotatedImage(src), out)
+        assert np.array_equal(buf, before)
+
+    def test_strided_source_cannot_be_flipped_in_place(self):
+        img = rand_image(np.random.default_rng(36), 10, 4)[:, ::2]
+        with pytest.raises(ContractError):
+            mirror_with_boxes(AnnotatedImage(img), img)
+
 
 class TestColor:
     def test_identity_bit_exact(self):
@@ -201,6 +278,51 @@ class TestBlurContrast:
     def test_blur_invalid(self):
         with pytest.raises(ContractError):
             blur(np.zeros((2, 2, 3), np.uint8), -1)
+
+
+class TestImageContract:
+    """Every transform rejects an image that is not (h, w, 3) uint8 with
+    h, w >= 1, on its identity path too."""
+
+    kernels = {
+        "rotate-30": lambda img: rotate_with_boxes(AnnotatedImage(img), 30.0),
+        "rotate-90": lambda img: rotate_with_boxes(AnnotatedImage(img), 90.0),
+        "mirror": lambda img: mirror_with_boxes(AnnotatedImage(img)),
+        "mirror-out": lambda img: mirror_with_boxes(
+            AnnotatedImage(np.zeros((2, 3, 3), np.uint8)), img),
+        "color": lambda img: adjust_color(img, 1.5, 0.7),
+        "color-identity": lambda img: adjust_color(img),
+        "blur": lambda img: blur(img, 1),
+        "blur-identity": lambda img: blur(img, 0),
+        "contrast": lambda img: contrast(img, 1.3),
+        "contrast-identity": lambda img: contrast(img, 1.0),
+    }
+    dtypes = st.sampled_from(
+        [np.uint8, np.int8, np.int16, np.uint16, np.int64, np.float32, np.float64, np.bool_])
+    # mostly (h, w, 3) of another dtype, or uint8 of another shape
+    shapes = st.one_of(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.just(3)),
+        st.lists(st.integers(0, 5), max_size=4).map(tuple),
+    )
+
+    @pytest.mark.parametrize("name", list(kernels))
+    @settings(deadline=None)
+    @given(dtype=dtypes, shape=shapes)
+    def test_rejects_other_images(self, name, dtype, shape):
+        valid = dtype == np.uint8 and len(shape) == 3 and shape[2] == 3 and min(shape[:2]) >= 1
+        if name == "mirror-out":  # out must match the (2, 3, 3) source as well
+            valid = valid and shape == (2, 3, 3)
+        img = np.ones(shape, dtype)
+        if valid:
+            self.kernels[name](img)
+        else:
+            with pytest.raises(ContractError):
+                self.kernels[name](img)
+
+    @pytest.mark.parametrize("name", list(kernels))
+    def test_rejects_non_arrays(self, name):
+        with pytest.raises(ContractError):
+            self.kernels[name]([[[0, 0, 0]]])
 
 
 def _turn(img, k, flip):
@@ -553,6 +675,31 @@ def test_expand_working_set_is_bounded(tmp_path):
     assert peak <= 4.5 * canvas, peak / canvas
 
 
+def test_expand_working_set_is_two_canvases(tmp_path):
+    # the setup of test_expand_working_set_is_bounded: 3.6 canvases when the
+    # mirror copied every variant and the source lived to the image's end,
+    # 2.75 when owned arrays are flipped in place, the source is released
+    # after its last canvas and the bands hold 2**13 pixels
+    rng = np.random.default_rng(32)
+    entries = []
+    for i in range(2):
+        write_ppm(tmp_path / f"im{i}.ppm", rand_image(rng, 640, 480))
+        save_annotations(tmp_path / f"im{i}.txt", [ann((100, 80, 300, 260), 0, f"im{i}")])
+        entries.append((str(tmp_path / f"im{i}.ppm"), str(tmp_path / f"im{i}.txt")))
+    write_manifest(tmp_path / "manifest.txt", entries)
+    spec = AugmentSpec(rotations=(0.0, 30.0, 90.0), saturation_factors=(1.0, 1.5),
+                       mirror=True, blur_radii=(2,))
+    tracemalloc.start()
+    try:
+        result = expand_dataset(tmp_path / "manifest.txt", spec, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.entries) == 2 * 3 * 2 * 2 * 2
+    canvas = 736 * 795 * 3
+    assert peak <= 3.0 * canvas, peak / canvas
+
+
 class TestSpecValidation:
     def test_bad_rotation(self):
         with pytest.raises(ContractError):
@@ -781,6 +928,47 @@ class TestExpandEquivalence:
         assert len(calls["mirror_with_boxes"]) == 2 * 5 * n_color * n_radii
         assert len(calls["contrast"]) == 2 * 5 * n_color * n_radii * 2
         assert all(args == (1.3,) for args in calls["contrast"])
+
+    @pytest.mark.parametrize(
+        "spec, sizes",
+        [
+            # the 0-degree turn of the source is the identity colour's last
+            # turn, and the second colour reads the source after it
+            (AugmentSpec(rotations=(270.0, 90.0, 0.0), saturation_factors=(1.0, 1.5),
+                         mirror=True), [(13, 9), (7, 11)]),
+            # a quarter turn of one row or column can keep the source's
+            # memory, so only a copy it really made is flipped in place
+            (AugmentSpec(rotations=(90.0, 180.0, 270.0, 0.0), saturation_factors=(1.0, 1.5),
+                         mirror=True, blur_radii=(1,), contrast_factors=(1.3,)),
+             [(6, 1), (1, 5), (1, 1)]),
+        ],
+        ids=["zero-turn-last", "one-row-or-column"],
+    )
+    def test_in_place_flips_match_per_variant_composition(self, tmp_path, spec, sizes):
+        rng = np.random.default_rng(37)
+        sources = []
+        for i, (w, h) in enumerate(sizes):
+            stem = f"im{i}"
+            image = rand_image(rng, w, h)
+            anns = [ann((0.0, 0.0, w / 2, h), 0, stem)]
+            write_ppm(tmp_path / f"{stem}.ppm", image)
+            save_annotations(tmp_path / f"{stem}.txt", anns)
+            sources.append((stem, image, anns))
+        write_manifest(
+            tmp_path / "manifest.txt",
+            [(str(tmp_path / f"{s}.ppm"), str(tmp_path / f"{s}.txt")) for s, _, _ in sources],
+        )
+        result = expand_dataset(tmp_path / "manifest.txt", spec, tmp_path / "out")
+        expected = [
+            variant
+            for stem, image, anns in sources
+            for variant in _reference_variants(image, anns, stem, spec)
+        ]
+        assert len(result.entries) == len(expected)
+        for (img_out, ann_out), (name, pixels, anns) in zip(result.entries, expected):
+            assert os.path.basename(img_out) == name + ".ppm"
+            assert np.array_equal(read_ppm(img_out), pixels), name
+            assert load_annotations(ann_out, name) == anns, name
 
 
 class TestNamePlanning:

@@ -1,0 +1,43 @@
+"""The gate of the mutation table in ``mutants.py``: every entry applies to
+today's source, the unmutated copy passes every named test, and every mutant
+is killed."""
+
+import subprocess
+import sys
+
+import pytest
+
+from mutants import MUTANTS, ROOT, copy_src, killed, mutated_text, run_tests
+
+by_id = pytest.mark.parametrize("mutant", MUTANTS, ids=[m.id for m in MUTANTS])
+
+
+def test_ids_are_unique():
+    assert len({m.id for m in MUTANTS}) == len(MUTANTS)
+
+
+@by_id
+def test_old_snippet_occurs_once(mutant):
+    # mutated_text raises unless the snippet occurs exactly once
+    assert mutated_text(mutant) != (ROOT / "src" / mutant.path).read_text()
+
+
+def test_copy_is_what_the_tests_import(tmp_path):
+    src = copy_src(tmp_path)
+    out = subprocess.run(
+        [sys.executable, "-c", "import detfuse; print(detfuse.__file__)"],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == str(src / "detfuse" / "__init__.py")
+
+
+def test_unmutated_copy_passes_every_named_test(tmp_path):
+    tests = sorted({t for m in MUTANTS for t in m.tests})
+    result = run_tests(copy_src(tmp_path), tests)
+    assert result.returncode == 0, result.stdout[-4000:]
+
+
+@by_id
+def test_mutant_is_killed(mutant):
+    ok, result = killed(mutant)
+    assert ok, f"{mutant.id} survived {mutant.tests}:\n{result.stdout[-4000:]}"
