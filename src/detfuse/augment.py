@@ -7,8 +7,10 @@ axis-aligned bounding box of its rotated corners, clipped to the new canvas.
 Rotations by multiples of 90 degrees are exact pixel permutations; other
 angles use bilinear resampling.
 
-Every transform takes an (h, w, 3) uint8 image with h, w >= 1 and raises
-``ContractError`` for anything else.
+Every transform takes an image that ``io.check_image`` accepts, (h, w, 3)
+uint8 with h, w >= 1, and raises ``ContractError`` for anything else. Each
+kernel has one code path; at an identity setting it returns a new array of
+its input's bytes.
 
 The pixel kernels compute their output one band of rows at a time, each
 band at most 2**13 pixels (or one row of a wider image), so their float64
@@ -43,6 +45,7 @@ canvas once and applies the turns and flips last.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -55,6 +58,7 @@ from .errors import ContractError, DetfuseError
 from .evaluation import GroundTruthRecord
 from .geometry import Box
 from .io import (
+    check_image,
     image_id_from_path,
     load_annotations,
     read_manifest,
@@ -106,19 +110,8 @@ class AugmentSpec:
             # a factor names its files by round(f * 100), which must be finite
             if not (f > 0 and math.isfinite(f * 100)):
                 raise ContractError(f"factors must be positive and finite, got {f}")
-        if any(r < 0 for r in self.blur_radii):
-            raise ContractError("blur radii must be non-negative")
-
-
-def _check_image(img: np.ndarray) -> None:
-    """Raise ``ContractError`` unless ``img`` is an (h, w, 3) uint8 array
-    with h, w >= 1."""
-    if not (isinstance(img, np.ndarray) and img.dtype == np.uint8 and img.ndim == 3
-            and img.shape[2] == 3 and img.size):
-        raise ContractError(
-            "image must be an (h, w, 3) uint8 array with h, w >= 1, got"
-            f" {getattr(img, 'shape', type(img).__name__)} {getattr(img, 'dtype', '')}"
-        )
+        if not all(isinstance(r, numbers.Integral) and r >= 0 for r in self.blur_radii):
+            raise ContractError(f"blur radii must be non-negative integers, got {self.blur_radii}")
 
 
 def _row_bands(height: int, width: int):
@@ -194,17 +187,21 @@ def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
     but the boxes still go through the float corner map
     ``ncx + (x - cx)*cos - (y - cy)*sin``, ``ncy + (x - cx)*sin + (y - cy)*cos``
     with exact sin and cos. That map rounds, so a 0-degree turn, or four
-    90-degree turns, can move a box coordinate in its last bits.
+    90-degree turns, can move a box coordinate in its last bits. A turn by
+    90, 180 or 270 degrees returns a new C-contiguous array; 0 degrees
+    returns the source's pixels when they are C-contiguous.
     """
     img = src.image
-    _check_image(img)
+    check_image(img)
     if not 0 <= angle < 360:
         raise ContractError(f"angle must be in [0, 360), got {angle}")
     h, w = img.shape[:2]
     exact = _EXACT_TRIG.get(angle)
     if exact is not None:
         sin, cos = exact
-        out_img = np.ascontiguousarray(np.rot90(img, -(int(angle) // 90)))
+        turned = np.rot90(img, -(int(angle) // 90))
+        # a turn copies; 0 degrees keeps a C-contiguous source's pixels
+        out_img = turned.copy() if angle else np.ascontiguousarray(turned)
         nh, nw = out_img.shape[:2]
     else:
         rad = math.radians(angle)
@@ -249,7 +246,7 @@ def mirror_with_boxes(src: AnnotatedImage, out: np.ndarray | None = None) -> Ann
     way the only full-size array is the output.
     """
     img = src.image
-    _check_image(img)
+    check_image(img)
     if out is None:
         out = np.empty(img.shape, dtype=np.uint8)
     elif not (isinstance(out, np.ndarray) and out.shape == img.shape and out.dtype == np.uint8
@@ -303,11 +300,9 @@ def adjust_color(img: np.ndarray, saturation: float = 1.0, exposure: float = 1.0
     per-pixel ``colorsys``-style formulas evaluated in float64 (see the module
     docstring for the operation order).
     """
-    _check_image(img)
-    if saturation <= 0 or exposure <= 0:
-        raise ContractError("saturation and exposure factors must be positive")
-    if saturation == 1.0 and exposure == 1.0:
-        return img.copy()
+    check_image(img)
+    if not (0 < saturation < math.inf and 0 < exposure < math.inf):
+        raise ContractError("saturation and exposure factors must be positive and finite")
     out = np.empty(img.shape, dtype=np.uint8)
     for r0, r1 in _row_bands(*img.shape[:2]):
         _adjust_color_band(img[r0:r1], saturation, exposure, out[r0:r1])
@@ -364,15 +359,13 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
     Each output byte is ``floor(sum / count + 0.5)`` in float64, where the
     window sum is an exact int64.
     """
-    _check_image(img)
-    if radius < 0:
-        raise ContractError(f"radius must be non-negative, got {radius}")
-    if radius == 0:
-        return img.copy()
+    check_image(img)
+    if not (isinstance(radius, numbers.Integral) and radius >= 0):
+        raise ContractError(f"radius must be a non-negative integer, got {radius!r}")
     h, w = img.shape[:2]
     # a window reaching past both image edges sums the whole axis, so a
     # radius above the image size pads no further
-    ry, rx = min(radius, h), min(radius, w)
+    ry, rx = min(int(radius), h), min(int(radius), w)  # a numpy uint8 would wrap
 
     def counts(n: int, r: int) -> np.ndarray:
         i = np.arange(n)
@@ -409,11 +402,9 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
 
 def contrast(img: np.ndarray, factor: float) -> np.ndarray:
     """Scale each channel about 128 and clamp; factor 1.0 is the identity."""
-    _check_image(img)
-    if factor <= 0:
-        raise ContractError(f"contrast factor must be positive, got {factor}")
-    if factor == 1.0:
-        return img.copy()
+    check_image(img)
+    if not 0 < factor < math.inf:
+        raise ContractError(f"contrast factor must be positive and finite, got {factor}")
     out = np.empty(img.shape, dtype=np.uint8)
     for r0, r1 in _row_bands(*img.shape[:2]):
         band = (img[r0:r1].astype(np.float64) - 128.0) * factor + 128.0
@@ -508,16 +499,13 @@ def _write_turn(variant: AnnotatedImage, turn: float | None, axes: _Axes, name_o
     to the paths ``name_of(mirrored, cfac=...)``; returns the boxes written.
 
     ``owned`` says that nothing reads ``variant.image`` after this call. The
-    mirror flips the pixels in place when they are owned or are a copy that
-    the turn made, and into a new array otherwise. The mirror is released
+    mirror flips the pixels in place when they are owned or were copied by a
+    turn other than 0 degrees, and into a new array otherwise. The mirror is released
     when this returns, and each contrast-scaled copy once it is written.
     """
     if turn is not None:
-        turned = rotate_with_boxes(variant, turn)
-        # a turn keeps the pixels where they are when their layout allows it
-        # (0 degrees, or 90 of a single row); only a copy is this call's own
-        owned = owned or not np.may_share_memory(turned.image, variant.image)
-        variant = turned
+        variant = rotate_with_boxes(variant, turn)
+        owned = owned or turn != 0  # a right-angle turn returns a copy
     emitted = 0
     for mirrored in axes.mirrors:
         if mirrored:  # the unmirrored variant's files are written by now
@@ -572,7 +560,8 @@ def expand_dataset(
     first), a canvas after its last color, a colored array after its last
     blur radius, and a mirrored or contrast-scaled one once its files are
     written. The mirror flips an array in place when nothing reads it later:
-    the copy a right-angle turn makes, or a blurred array at its last turn.
+    the copy a 90, 180 or 270 degree turn makes, or a blurred array at its
+    last turn.
     So at most two arrays of a canvas are alive at once, an input and the
     output of the stage at work, plus the source while resampled canvases
     remain. ``tests/test_augment.py::test_expand_working_set_is_two_canvases``

@@ -25,7 +25,9 @@ Annotation files carry one ``class_id x1 y1 x2 y2`` record per line. A
 manifest lists ``image_path annotation_path`` pairs, resolved relative to
 the manifest's directory; ``load_ground_truth`` requires the image stems of
 one manifest to be distinct. Images are binary PPM (P6, maxval 255, width
-and height at least 1).
+and height at least 1, ``#`` comments in the header). ``check_image`` holds
+``write_ppm`` and the transforms of ``detfuse.augment`` to (h, w, 3) uint8
+arrays with h, w >= 1, so every image written reads back.
 
 Detection files, manifests and evaluation reports are written to a
 temporary file beside the target and moved into place when complete, so a
@@ -37,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import stat
 from typing import Iterable, Iterator, TextIO
 
@@ -230,33 +233,38 @@ def load_ground_truth(manifest_path: str | os.PathLike) -> list[GroundTruthRecor
 # PPM (P6, 8-bit)
 
 
+# after the magic, three tokens (width, height, maxval): each is the run of
+# non-whitespace after any whitespace and '#' comments running to end of line
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*)*(\S*)" * 3)
+
+
+def check_image(img: np.ndarray) -> None:
+    """Raise ``ContractError`` unless ``img`` is an (h, w, 3) uint8 array
+    with h, w >= 1, the images this module writes and reads."""
+    if not (isinstance(img, np.ndarray) and img.dtype == np.uint8 and img.ndim == 3
+            and img.shape[2] == 3 and img.size):
+        raise ContractError(
+            "expected an (h, w, 3) uint8 image with h, w >= 1, got"
+            f" {getattr(img, 'shape', type(img).__name__)} {getattr(img, 'dtype', '')}"
+        )
+
+
 def read_ppm(path: str | os.PathLike) -> np.ndarray:
     """Read a binary PPM into an (h, w, 3) uint8 array."""
     with open(path, "rb") as f:
         data = f.read()
-    if not data.startswith(b"P6"):
+    header = _PPM_HEADER.match(data)
+    if header is None:
         raise ParseError(f"{path}: not a P6 PPM file")
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # '#' comments running to end of line
-    pos = 2
     tokens: list[int] = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    for token in header.groups():  # an empty token means the file ended
+        if not token:
             raise ParseError(f"{path}: truncated PPM header")
         try:
-            tokens.append(int(data[start:pos]))
+            tokens.append(int(token))
         except ValueError as e:
             raise ParseError(f"{path}: bad PPM header token: {e}") from e
-    pos += 1  # single whitespace after maxval
+    pos = header.end() + 1  # single whitespace after maxval
     width, height, maxval = tokens
     if width < 1 or height < 1:
         raise ParseError(f"{path}: PPM dimensions must be positive, got {width}x{height}")
@@ -272,8 +280,8 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
 
 
 def write_ppm(path: str | os.PathLike, img: np.ndarray) -> None:
-    if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
-        raise ContractError(f"expected (h, w, 3) uint8 image, got {img.shape} {img.dtype}")
+    """Write an image that ``check_image`` accepts as a binary PPM."""
+    check_image(img)
     h, w = img.shape[:2]
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))

@@ -145,7 +145,7 @@ def yolo_loss(
     for preds, tgts in zip(grid, targets):
         for p, t in zip(preds, tgts):
             if t.responsible:
-                if not (p.w >= 0 and p.h >= 0):  # NaN fails too
+                if p.w < 0 or p.h < 0:
                     raise ContractError("responsible prediction has negative width/height")
                 err_center += (p.x - t.x) ** 2 + (p.y - t.y) ** 2
                 err_wh += (math.sqrt(p.w) - math.sqrt(t.w)) ** 2
@@ -178,7 +178,7 @@ def yolo_loss_grad(
         row: list[PredictionGradient] = []
         for p, t in zip(preds, tgts):
             if t.responsible:
-                if not (p.w > 0 and p.h > 0):  # NaN fails too
+                if p.w <= 0 or p.h <= 0:
                     raise ContractError(
                         "gradient undefined at w <= 0 or h <= 0 for a responsible box"
                     )

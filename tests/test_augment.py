@@ -74,6 +74,27 @@ class TestRotation:
         assert np.array_equal(out.image, src.image)
         assert out.annotations == src.annotations
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (4, 6)])
+    @pytest.mark.parametrize("angle", [90, 180, 270])
+    def test_right_angle_turn_is_a_contiguous_copy(self, shape, angle):
+        img = rand_image(np.random.default_rng(5), shape[1], shape[0])
+        out = rotate_with_boxes(AnnotatedImage(img), angle).image
+        assert out.flags.c_contiguous and not np.shares_memory(out, img)
+        assert np.array_equal(out, np.rot90(img, -(angle // 90)))
+
+    def test_zero_turn_keeps_contiguous_pixels(self):
+        img = rand_image(np.random.default_rng(5), 6, 4)
+        assert np.shares_memory(rotate_with_boxes(AnnotatedImage(img), 0).image, img)
+        strided = rotate_with_boxes(AnnotatedImage(img[:, ::2]), 0).image
+        assert strided.flags.c_contiguous and np.array_equal(strided, img[:, ::2])
+
+    @pytest.mark.parametrize("angle, kept", [(0, False), (90, False), (30, True)])
+    def test_zero_width_box(self, angle, kept):
+        # a right-angle turn keeps the box's zero width, so it is dropped;
+        # another angle spreads it over a rotated bounding box
+        src = AnnotatedImage(np.zeros((10, 20, 3), np.uint8), [ann((5, 2, 5, 8))])
+        assert len(rotate_with_boxes(src, angle).annotations) == kept
+
     def test_45_canvas_and_box_growth(self):
         side = 40
         rng = np.random.default_rng(3)
@@ -246,6 +267,13 @@ class TestColor:
             adjust_color(img, exposure=-1.0)
 
 
+    @pytest.mark.parametrize("factors", [(math.nan, 1.0), (1.0, math.nan),
+                                         (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_factors(self, factors):
+        with pytest.raises(ContractError, match="finite"):
+            adjust_color(rand_image(np.random.default_rng(6), 4, 4), *factors)
+
+
 class TestBlurContrast:
     def test_blur_zero_identity(self):
         rng = np.random.default_rng(8)
@@ -278,6 +306,33 @@ class TestBlurContrast:
     def test_blur_invalid(self):
         with pytest.raises(ContractError):
             blur(np.zeros((2, 2, 3), np.uint8), -1)
+
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_contrast_non_finite(self, factor):
+        with pytest.raises(ContractError, match="finite"):
+            contrast(rand_image(np.random.default_rng(9), 4, 4), factor)
+
+    @pytest.mark.parametrize("radius", [2.5, 1.0, "2", None])
+    def test_blur_non_integer_radius(self, radius):
+        with pytest.raises(ContractError, match="integer"):
+            blur(np.zeros((8, 8, 3), np.uint8), radius)
+
+    @pytest.mark.parametrize("radius", [np.uint8(3), np.int64(3), np.int32(0)])
+    def test_blur_numpy_integer_radius(self, radius):
+        # more rows than a uint8 holds: row indices must not wrap
+        img = rand_image(np.random.default_rng(8), 2, 300)
+        assert np.array_equal(blur(img, radius), blur(img, int(radius)))
+
+    @pytest.mark.parametrize("kernel", [
+        lambda img: adjust_color(img, 1.0, 1.0),
+        lambda img: blur(img, 0),
+        lambda img: contrast(img, 1.0),
+    ], ids=["color", "blur", "contrast"])
+    def test_identity_settings_return_a_new_array(self, kernel):
+        img = rand_image(np.random.default_rng(8), 5, 3)
+        out = kernel(img)
+        assert np.array_equal(out, img) and not np.shares_memory(out, img)
 
 
 class TestImageContract:
@@ -716,6 +771,14 @@ class TestSpecValidation:
         with pytest.raises(ContractError, match="finite"):
             AugmentSpec(**{axis: (factor,)})
 
+    @pytest.mark.parametrize("radius", [2.5, -1, math.nan])
+    def test_bad_blur_radius(self, radius):
+        with pytest.raises(ContractError, match="blur radii"):
+            AugmentSpec(blur_radii=(radius,))
+
+    def test_numpy_integer_blur_radius_accepted(self):
+        AugmentSpec(blur_radii=(np.int64(2), np.uint8(0)))
+
     def test_extreme_finite_factors_accepted(self):
         # too long for a file name, which expand_dataset rejects when planning
         AugmentSpec(saturation_factors=(1e300,), contrast_factors=(5e-324,))
@@ -786,6 +849,15 @@ class TestExpandDataset:
         spec = AugmentSpec(rotations=(0.0, 45.0, 313.0))
         result = expand_dataset(manifest, spec, tmp_path / "out")
         assert result.boxes_emitted + result.boxes_dropped == result.boxes_in
+
+    def test_zero_width_box_dropped_by_right_angles(self, tmp_path):
+        write_ppm(tmp_path / "im.ppm", rand_image(np.random.default_rng(15), 20, 10))
+        save_annotations(tmp_path / "im.txt", [ann((5, 2, 5, 8)), ann((1, 1, 9, 9))])
+        write_manifest(tmp_path / "manifest.txt",
+                       [(str(tmp_path / "im.ppm"), str(tmp_path / "im.txt"))])
+        spec = AugmentSpec(rotations=(0.0, 30.0, 90.0))
+        result = expand_dataset(tmp_path / "manifest.txt", spec, tmp_path / "out")
+        assert (result.boxes_in, result.boxes_emitted, result.boxes_dropped) == (6, 4, 2)
 
     def test_unreadable_input_recorded(self, tmp_path):
         rng = np.random.default_rng(15)

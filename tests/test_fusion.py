@@ -30,6 +30,16 @@ def test_detection_validation():
         Detection(Box(0, 0, 1, 1), -1, 0.5)
 
 
+@pytest.mark.parametrize("fuse", [
+    lambda dets, mode: merge_boxes(dets, 0.5, mode),
+    lambda dets, mode: merge_boxes_with_members(dets, 0.5, mode),
+    lambda dets, mode: summarize(Cluster(dets), mode),
+], ids=["merge_boxes", "merge_boxes_with_members", "summarize"])
+def test_unknown_prob_mode_rejected(fuse):
+    with pytest.raises(ContractError, match="prob_mode"):
+        fuse([det((0, 0, 10, 10))], "mean")
+
+
 class TestSummarize:
     def test_singleton_identity(self):
         s = summarize(Cluster([det((0, 0, 10, 10), 3, 0.8)]))

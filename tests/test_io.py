@@ -366,8 +366,9 @@ def test_write_ppm_strided_view(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "img", [np.zeros((4, 4), np.uint8), np.zeros((4, 4, 4), np.uint8), np.zeros((4, 4, 3))],
-    ids=["2d", "4-channel", "float64"],
+    "img", [np.zeros((4, 4), np.uint8), np.zeros((4, 4, 4), np.uint8), np.zeros((4, 4, 3)),
+            np.zeros((0, 5, 3), np.uint8), np.zeros((5, 0, 3), np.uint8), [[[0, 0, 0]]]],
+    ids=["2d", "4-channel", "float64", "no-rows", "no-columns", "list"],
 )
 def test_write_ppm_rejects_non_rgb8(tmp_path, img):
     with pytest.raises(ContractError, match="uint8 image"):
@@ -382,6 +383,25 @@ def test_ppm_with_comments(tmp_path):
     img = read_ppm(path)
     assert img.shape == (1, 2, 3)
     assert img.tobytes() == raster
+
+
+@pytest.mark.parametrize(
+    "header, outcome",
+    [(b"P6\r2\v1\f255\n", (1, 2, 3)), (b"P6\t2\r\n1 255\r", (1, 2, 3)),
+     (b"P62 1 255 ", (1, 2, 3)), (b"P6 2#c\n1 255\n", "bad PPM header token"),
+     (b"P6 #c\r9 9\n2 1 255\n", (1, 2, 3)), (b"P6 2 1 # no newline", "truncated"),
+     (b"P6 2\n#\n#c 9\n1 255\n", (1, 2, 3)), (b"P6 +2 01 255\n", (1, 2, 3))],
+    ids=["cr-vt-ff", "tab-crlf", "no-space-after-magic", "comment-inside-token",
+         "comment-to-newline-only", "comment-at-end", "comment-lines", "signs-and-zeros"],
+)
+def test_ppm_header_tokens(tmp_path, header, outcome):
+    path = tmp_path / "h.ppm"
+    path.write_bytes(header + bytes(6))
+    if isinstance(outcome, str):
+        with pytest.raises(ParseError, match=outcome):
+            read_ppm(path)
+    else:
+        assert read_ppm(path).shape == outcome
 
 
 def test_ppm_truncated_raster(tmp_path):

@@ -152,6 +152,25 @@ def test_negative_wh_rejected():
         yolo_loss_grad(grid, targets)
 
 
+def test_zero_wh_has_a_loss_but_no_gradient():
+    # sqrt(0) is defined, its derivative is not
+    for wh in [(0.0, 1.0), (1.0, 0.0)]:
+        grid = [[CellBoxPrediction(0, 0, *wh, 0, (1.0,))]]
+        targets = [[CellBoxTarget(0, 0, 1, 1, True, 0.5, 0)]]
+        assert yolo_loss(grid, targets).err_wh == 1.0
+        with pytest.raises(ContractError):
+            yolo_loss_grad(grid, targets)
+
+
+def test_negative_height_rejected():
+    grid = [[CellBoxPrediction(0, 0, 1, -0.5, 0, (1.0,))]]
+    targets = [[CellBoxTarget(0, 0, 1, 1, True, 0.5, 0)]]
+    with pytest.raises(ContractError):
+        yolo_loss(grid, targets)
+    with pytest.raises(ContractError):
+        yolo_loss_grad(grid, targets)
+
+
 def test_negative_weights_rejected():
     with pytest.raises(ContractError):
         LossWeights(lambda_coord=-1.0)

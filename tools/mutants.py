@@ -29,10 +29,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300  # per pytest run; a mutant that loops forever fails its check
 TESTS_FAILED = 1  # pytest's exit code when tests ran and some failed
-# hypothesis reports a failing example through an import that warns; with
-# the repository's warnings-as-errors that ends the run as an internal error
-# instead of a test failure, so the mutant runs let that one warning pass
-REPORT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 
 
 @dataclass(frozen=True)
@@ -45,6 +41,8 @@ class Mutant:
 
 
 AUGMENT = "detfuse/augment.py"
+IO = "detfuse/io.py"
+LOSS = "detfuse/yolo_loss.py"
 EXPAND_EQUIVALENCE = "tests/test_augment.py::TestExpandEquivalence"
 
 MUTANTS = (
@@ -67,10 +65,10 @@ MUTANTS = (
         tests=(f"{EXPAND_EQUIVALENCE}::test_matches_per_variant_composition",),
     ),
     Mutant(
-        id="turn-owned-by-angle",
+        id="right-angle-turn-as-view",
         path=AUGMENT,
-        old="owned = owned or not np.may_share_memory(turned.image, variant.image)",
-        new="owned = owned or turn != 0",
+        old="out_img = turned.copy() if angle else np.ascontiguousarray(turned)",
+        new="out_img = np.ascontiguousarray(turned)",
         tests=(
             f"{EXPAND_EQUIVALENCE}::test_in_place_flips_match_per_variant_composition"
             "[one-row-or-column]",
@@ -153,10 +151,105 @@ MUTANTS = (
     ),
     Mutant(
         id="target-accepts-nan-width",
-        path="detfuse/yolo_loss.py",
+        path=LOSS,
         old="if not (self.w > 0 and self.h > 0):  # NaN fails too",
         new="if self.w <= 0 or self.h <= 0:  # NaN fails too",
         tests=("tests/test_loss.py::test_nan_wh_rejected",),
+    ),
+    Mutant(
+        id="write-ppm-without-image-check",
+        path=IO,
+        old="    check_image(img)\n    h, w = img.shape[:2]\n",
+        new="    h, w = img.shape[:2]\n",
+        tests=("tests/test_io.py::test_write_ppm_rejects_non_rgb8",),
+    ),
+    Mutant(
+        id="ppm-comment-ends-at-whitespace",
+        path=IO,
+        old='rb"(?:\\s|#[^\\n]*)*(\\S*)"',
+        new='rb"(?:\\s|#\\S*)*(\\S*)"',
+        tests=("tests/test_io.py::test_ppm_with_comments",
+               "tests/test_io.py::test_ppm_header_tokens"),
+    ),
+    Mutant(
+        id="colour-accepts-non-finite",
+        path=AUGMENT,
+        old="if not (0 < saturation < math.inf and 0 < exposure < math.inf):",
+        new="if saturation <= 0 or exposure <= 0:",
+        tests=("tests/test_augment.py::TestColor::test_non_finite_factors",),
+    ),
+    Mutant(
+        id="contrast-accepts-non-finite",
+        path=AUGMENT,
+        old="if not 0 < factor < math.inf:",
+        new="if factor <= 0:",
+        tests=("tests/test_augment.py::TestBlurContrast::test_contrast_non_finite",),
+    ),
+    Mutant(
+        id="blur-accepts-non-integer-radius",
+        path=AUGMENT,
+        old="if not (isinstance(radius, numbers.Integral) and radius >= 0):",
+        new="if radius < 0:",
+        tests=("tests/test_augment.py::TestBlurContrast::test_blur_non_integer_radius",),
+    ),
+    Mutant(
+        id="blur-uint8-radius-wraps",
+        path=AUGMENT,
+        old="ry, rx = min(int(radius), h), min(int(radius), w)",
+        new="ry, rx = min(radius, h), min(radius, w)",
+        tests=("tests/test_augment.py::TestBlurContrast::test_blur_numpy_integer_radius",),
+    ),
+    Mutant(
+        id="spec-accepts-non-integer-radius",
+        path=AUGMENT,
+        old="if not all(isinstance(r, numbers.Integral) and r >= 0 for r in self.blur_radii):",
+        new="if not all(r >= 0 for r in self.blur_radii):",
+        tests=("tests/test_augment.py::TestSpecValidation::test_bad_blur_radius",),
+    ),
+    Mutant(
+        id="rotation-keeps-zero-width-box",
+        path=AUGMENT,
+        old="if x2 - x1 <= 0 or y2 - y1 <= 0:",
+        new="if x2 - x1 < 0 or y2 - y1 < 0:",
+        tests=("tests/test_augment.py::TestRotation::test_zero_width_box",
+               "tests/test_augment.py::TestExpandDataset"
+               "::test_zero_width_box_dropped_by_right_angles"),
+    ),
+    Mutant(
+        id="unknown-prob-mode-accepted",
+        path="detfuse/fusion.py",
+        old="if prob_mode not in PROB_MODES:",
+        new="if prob_mode is None:",
+        tests=("tests/test_fusion.py::test_unknown_prob_mode_rejected",),
+    ),
+    Mutant(
+        id="loss-rejects-zero-wh",
+        path=LOSS,
+        old="if p.w < 0 or p.h < 0:",
+        new="if p.w <= 0 or p.h < 0:",
+        tests=("tests/test_loss.py::test_zero_wh_has_a_loss_but_no_gradient",),
+    ),
+    Mutant(
+        id="loss-ignores-negative-height",
+        path=LOSS,
+        old="if p.w < 0 or p.h < 0:",
+        new="if p.w < 0:",
+        tests=("tests/test_loss.py::test_negative_height_rejected",),
+    ),
+    Mutant(
+        id="gradient-accepts-zero-wh",
+        path=LOSS,
+        old="if p.w <= 0 or p.h <= 0:",
+        new="if p.w < 0 or p.h < 0:",
+        tests=("tests/test_loss.py::test_zero_wh_has_a_loss_but_no_gradient",),
+    ),
+    Mutant(
+        id="gradient-ignores-non-positive-height",
+        path=LOSS,
+        old="if p.w <= 0 or p.h <= 0:",
+        new="if p.w <= 0:",
+        tests=("tests/test_loss.py::test_zero_wh_has_a_loss_but_no_gradient",
+               "tests/test_loss.py::test_negative_height_rejected"),
     ),
 )
 
@@ -191,8 +284,7 @@ def run_tests(src: Path, tests: tuple[str, ...] | list[str], *args: str
         HYPOTHESIS_STORAGE_DIRECTORY=str(src.parent / ".hypothesis"),
     )
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-W", REPORT_WARNING,
-         *args, *tests],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args, *tests],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
     )
 
