@@ -92,8 +92,9 @@ class AugmentSpec:
     """Configuration grid for dataset expansion.
 
     The emitted variants are the Cartesian product of rotations, saturation
-    factors and exposure factors; the mirror flag, blur radii and contrast
-    factors each add an extra product axis on top of their identity setting.
+    factors and exposure factors, so each of these needs at least one value;
+    the mirror flag, blur radii and contrast factors each add an extra
+    product axis on top of their identity setting, so those may be empty.
     """
 
     rotations: tuple[float, ...] = (0.0,)
@@ -104,6 +105,8 @@ class AugmentSpec:
     contrast_factors: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if not (self.rotations and self.saturation_factors and self.exposure_factors):
+            raise ContractError("rotations, saturation and exposure factors must be non-empty")
         if any(not 0 <= a < 360 for a in self.rotations):
             raise ContractError("rotation angles must lie in [0, 360)")
         for f in (*self.saturation_factors, *self.exposure_factors, *self.contrast_factors):
@@ -236,30 +239,28 @@ def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
     return AnnotatedImage(out_img, anns)
 
 
-def mirror_with_boxes(src: AnnotatedImage, out: np.ndarray | None = None) -> AnnotatedImage:
+def mirror_with_boxes(src: AnnotatedImage, in_place: bool = False) -> AnnotatedImage:
     """Horizontal flip; box (x1, y1, x2, y2) becomes (W-x2, y1, W-x1, y2).
 
-    The flipped pixels go to a new array, or to ``out`` when it is given:
-    a C-contiguous, writeable uint8 array of the source's shape that is
-    either ``src.image`` itself, which flips the source in place, or shares
-    no memory with it. Any other ``out`` raises ``ContractError``. Either
-    way the only full-size array is the output.
+    The flipped pixels go to a new array, or with ``in_place`` into
+    ``src.image`` itself, which must then be C-contiguous and writeable
+    (``ContractError`` otherwise). Either way the only full-size array is
+    the output.
     """
     img = src.image
     check_image(img)
-    if out is None:
+    if not in_place:
         out = np.empty(img.shape, dtype=np.uint8)
-    elif not (isinstance(out, np.ndarray) and out.shape == img.shape and out.dtype == np.uint8
-              and out.flags.c_contiguous and out.flags.writeable):
-        raise ContractError(f"out must be a C-contiguous, writeable uint8 array of shape {img.shape}")
-    elif out is not img and np.shares_memory(out, img):
-        raise ContractError("out must be the source image itself or share no memory with it")
+    elif img.flags.c_contiguous and img.flags.writeable:
+        out = img
+    else:
+        raise ContractError("an image flipped in place must be C-contiguous and writeable")
     h, w = img.shape[:2]
     wpx = float(w)
     # reversing each row's bytes reverses the pixels and their channel order;
     # swapping channels 0 and 2 back costs less than a strided pixel copy.
-    # Done one band of rows at a time, it needs no full-size temporary: when
-    # out is the source, numpy buffers each overlapping band before writing
+    # Done one band of rows at a time, it needs no full-size temporary: in
+    # place, numpy buffers each overlapping band before writing
     rows_in = img.reshape(h, w * 3)
     rows_out = out.reshape(h, w * 3)
     for r0, r1 in _row_bands(h, w):
@@ -498,10 +499,11 @@ def _write_turn(variant: AnnotatedImage, turn: float | None, axes: _Axes, name_o
     rotated already), then write it and its mirror at every contrast factor
     to the paths ``name_of(mirrored, cfac=...)``; returns the boxes written.
 
-    ``owned`` says that nothing reads ``variant.image`` after this call. The
-    mirror flips the pixels in place when they are owned or were copied by a
-    turn other than 0 degrees, and into a new array otherwise. The mirror is released
-    when this returns, and each contrast-scaled copy once it is written.
+    ``owned`` says that nothing reads ``variant.image`` after this call, as
+    holds for the copy that a turn other than 0 degrees makes. The mirror
+    flips owned pixels in place and others into a new array. The mirror is
+    released when this returns, and each contrast-scaled copy once it is
+    written.
     """
     if turn is not None:
         variant = rotate_with_boxes(variant, turn)
@@ -509,7 +511,7 @@ def _write_turn(variant: AnnotatedImage, turn: float | None, axes: _Axes, name_o
     emitted = 0
     for mirrored in axes.mirrors:
         if mirrored:  # the unmirrored variant's files are written by now
-            variant = mirror_with_boxes(variant, variant.image if owned else None)
+            variant = mirror_with_boxes(variant, owned)
         for cfac in axes.cfacs:
             base = name_of(mirrored, cfac=cfac)
             write_ppm(base + ".ppm",
@@ -528,10 +530,12 @@ def expand_dataset(
 
     Derived files get deterministic names (``base_rNNN_sXXX_eXXX`` plus
     optional mirror/blur/contrast suffixes); the identity combination appears
-    exactly once. Every name is planned from the image stems before any
-    pixel is read or any file is written, so a collision (two angles that
-    round alike, or one stem in two manifest directories) or a name longer
-    than 255 bytes raises ``ContractError`` and leaves no derived file.
+    exactly once, and ``AugmentSpec`` holds at least one rotation,
+    saturation and exposure, so every source read yields a variant. Every
+    name is planned from the image stems before any pixel is read or any
+    file is written, so a collision (two angles that round alike, or one
+    stem in two manifest directories) or a name longer than 255 bytes raises
+    ``ContractError`` and leaves no derived file.
     Unreadable inputs are recorded and skipped. Alongside the derived images
     and annotation files the output directory receives ``manifest.txt`` and
     a ``provenance.txt`` mapping each derived image to its source; these two
@@ -559,14 +563,14 @@ def expand_dataset(
     the last canvas resampled from it is computed (the source canvas comes
     first), a canvas after its last color, a colored array after its last
     blur radius, and a mirrored or contrast-scaled one once its files are
-    written. The mirror flips an array in place when nothing reads it later:
-    the copy a 90, 180 or 270 degree turn makes, or a blurred array at its
-    last turn.
-    So at most two arrays of a canvas are alive at once, an input and the
-    output of the stage at work, plus the source while resampled canvases
-    remain. ``tests/test_augment.py::test_expand_working_set_is_two_canvases``
-    holds the ``tracemalloc`` peak on the grid of the ``augment-grid``
-    benchmark to 3.0 arrays of its largest canvas.
+    written. The mirror flips an array in place when nothing reads it later,
+    the copy a 90, 180 or 270 degree turn makes or a blurred array at its
+    last turn, and otherwise into a new array. So at most two arrays of a
+    canvas are alive at once, an input and the output of the stage at work,
+    plus the source while resampled canvases remain.
+    ``tests/test_augment.py::test_expand_working_set_is_two_canvases`` holds
+    the ``tracemalloc`` peak on the grid of the ``augment-grid`` benchmark to
+    3.0 arrays of its largest canvas.
     """
     sources = read_manifest(manifest_path)
     out_dir = os.path.abspath(out_dir)
@@ -621,7 +625,6 @@ def expand_dataset(
         for k, (resample, turns) in enumerate(plan):
             boxes_emitted += _expand_canvas(held, resample, k == len(plan) - 1,
                                             turns, axes, prefix)
-        del held  # an empty plan leaves the source here
     # the bookkeeping follows the plan, not the order the files were written
     entries: list[tuple[str, str]] = []
     provenance: list[tuple[str, str]] = []

@@ -7,8 +7,11 @@ violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from collections import defaultdict
+from typing import Iterator
 
 from .augment import AugmentSpec, expand_dataset
 from .errors import ContractError, ParseError
@@ -31,6 +34,21 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+@contextlib.contextmanager
+def _outputs_or_none() -> Iterator[list[str]]:
+    """Collect the paths of a command's outputs as each is moved into place;
+    if the block raises, remove them, so a failed command leaves each
+    output as it was or absent, never a mix of new and old files."""
+    done: list[str] = []
+    try:
+        yield done
+    except BaseException:
+        for path in done:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
@@ -86,9 +104,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     preds = load_detections(args.preds)
     gts = load_ground_truth(args.gts)
     report = evaluate_dataset(preds, gts, args.iou_eval, args.n_blocks)
-    with atomic_output(args.out + ".txt") as txt, atomic_output(args.out + ".tsv") as tsv:
-        txt.write(_format_report(report))
-        tsv.write(_format_table(report))
+    outputs = [(args.out + ".txt", _format_report(report)),
+               (args.out + ".tsv", _format_table(report))]
+    with _outputs_or_none() as done:
+        for path, text in outputs:
+            with atomic_output(path) as f:
+                f.write(text)
+            done.append(path)
     print(f"mAP: {report.mean_ap!r}")
     print(f"detection-rate: {report.detection_rate!r}")
     return EXIT_OK
@@ -123,10 +145,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     w, h = args.image_size
     sets = generate_ensemble(gts, noise, args.models, image_size=(w, h))
-    for i, dets in enumerate(sets):
-        path = f"{args.out}.model{i}.jsonl"
-        save_detections(path, dets)
-        print(f"model {i}: {len(dets)} detections -> {path}")
+    with _outputs_or_none() as done:
+        for i, dets in enumerate(sets):
+            path = f"{args.out}.model{i}.jsonl"
+            save_detections(path, dets)
+            done.append(path)
+            print(f"model {i}: {len(dets)} detections -> {path}")
     return EXIT_OK
 
 

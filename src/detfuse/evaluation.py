@@ -274,11 +274,15 @@ def evaluate_dataset(
     _check_n_blocks(n_blocks)
     warnings: list[str] = []
     preds_by_image: dict[str, list[int]] = defaultdict(list)
+    by_class: dict[int, list[int]] = defaultdict(list)
     for idx, d in enumerate(preds):
         preds_by_image[d.image_id].append(idx)
+        by_class[d.class_id].append(idx)
     gts_by_image: dict[str, list[GroundTruthRecord]] = defaultdict(list)
+    gt_counts: dict[int, int] = defaultdict(int)
     for g in gts:
         gts_by_image[g.image_id].append(g)
+        gt_counts[g.class_id] += 1
 
     is_tp = [False] * len(preds)
     agnostic_hits = 0
@@ -294,14 +298,6 @@ def evaluate_dataset(
         for idx, j in zip(items, matched_gt):
             is_tp[idx] = j >= 0
         agnostic_hits += hits
-
-    gt_counts: dict[int, int] = defaultdict(int)
-    for g in gts:
-        gt_counts[g.class_id] += 1
-
-    by_class: dict[int, list[int]] = defaultdict(list)
-    for idx in range(len(preds)):
-        by_class[preds[idx].class_id].append(idx)
 
     per_class: list[APResult] = []
     for class_id in sorted(gt_counts):

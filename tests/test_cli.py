@@ -60,6 +60,17 @@ def test_fuse_singleton_probability_unchanged(tmp_path):
     assert sorted(d.prob for d in fused) == [0.4, 0.9]
 
 
+def test_fuse_writes_images_in_sorted_order(tmp_path):
+    f1 = tmp_path / "m1.jsonl"
+    save_detections(f1, [
+        Detection(Box(0, 0, 10, 10), 1, 0.9, 0, "b"),
+        Detection(Box(0, 0, 10, 10), 1, 0.8, 0, "a"),
+    ])
+    out = tmp_path / "fused.jsonl"
+    assert main(["fuse", str(f1), "--out", str(out)]) == EXIT_OK
+    assert [d.image_id for d in load_detections(out)] == ["a", "b"]
+
+
 def test_fuse_empty_input(tmp_path):
     f1 = tmp_path / "m1.jsonl"
     f1.write_text("")
@@ -276,6 +287,9 @@ def _augment_manifest(tmp_path):
         (["--saturations", "nan"], "finite"),
         (["--exposures", "inf"], "finite"),
         (["--contrasts", "1e300"], "longer than 255 bytes"),
+        (["--rotations="], "non-empty"),
+        (["--saturations="], "non-empty"),
+        (["--exposures="], "non-empty"),
     ],
 )
 def test_augment_bad_argument_exit_code(tmp_path, capsys, flags, message):

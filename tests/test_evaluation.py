@@ -255,6 +255,13 @@ class TestEvaluateDataset:
         assert report.classes_without_gt == [7]
         assert [r.class_id for r in report.per_class] == [0]
 
+    def test_score_ties_rank_in_input_order(self):
+        gts = [gt((0, 0, 10, 10))]
+        miss, hit = det((50, 50, 60, 60), 0, 0.9), det((0, 0, 10, 10), 0, 0.9)
+        # ranked miss, hit: precision 0.5 at recall 1; ranked hit, miss: 1.0
+        assert evaluate_dataset([miss, hit], gts).mean_ap == 0.5
+        assert evaluate_dataset([hit, miss], gts).mean_ap == 1.0
+
     def test_confidence_rescaling_invariance(self):
         preds, gts = _random_fixture(random.Random(37))
         base = evaluate_dataset(preds, gts)

@@ -8,6 +8,8 @@ later edit that weakens a referee shows.
     python -m pytest -q tools     # the gate: every mutant killed
     python tools/mutants.py       # one line per mutant: killed or survived
 
+The mutants run in parallel, one pytest process per CPU.
+
 A mutant is killed when its named tests run and at least one fails; a copy
 that does not import or collect counts as survived, so a mutant must stay a
 working program with a wrong result. ``tools/test_mutants.py`` also checks
@@ -23,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +46,9 @@ class Mutant:
 AUGMENT = "detfuse/augment.py"
 IO = "detfuse/io.py"
 LOSS = "detfuse/yolo_loss.py"
+EVALUATION = "detfuse/evaluation.py"
 EXPAND_EQUIVALENCE = "tests/test_augment.py::TestExpandEquivalence"
+EVALUATE_DATASET = "tests/test_evaluation.py::TestEvaluateDataset"
 
 MUTANTS = (
     Mutant(
@@ -135,7 +140,7 @@ MUTANTS = (
     ),
     Mutant(
         id="match-at-iou-equal-to-threshold",
-        path="detfuse/evaluation.py",
+        path=EVALUATION,
         old="                if v > 0 and v > iou_threshold:\n"
             "                    matched_gt[i] = j",
         new="                if v > 0 and v >= iou_threshold:\n"
@@ -251,6 +256,58 @@ MUTANTS = (
         tests=("tests/test_loss.py::test_zero_wh_has_a_loss_but_no_gradient",
                "tests/test_loss.py::test_negative_height_rejected"),
     ),
+    Mutant(
+        id="mirror-strided-source-in-place",
+        path=AUGMENT,
+        old="elif img.flags.c_contiguous and img.flags.writeable:",
+        new="elif img.flags.writeable:",
+        tests=("tests/test_augment.py::TestMirror"
+               "::test_strided_source_cannot_be_flipped_in_place",),
+    ),
+    Mutant(
+        id="ground-truths-counted-twice",
+        path=EVALUATION,
+        old="gt_counts[g.class_id] += 1",
+        new="gt_counts[g.class_id] += 2",
+        tests=(f"{EVALUATE_DATASET}::test_tp_plus_fn_equals_gt_count",
+               f"{EVALUATE_DATASET}::test_matches_brute_force"),
+    ),
+    Mutant(
+        id="ap-ties-in-reverse",
+        path=EVALUATION,
+        old="by_class.get(class_id, []), key=lambda i: (-preds[i].prob, i)",
+        new="by_class.get(class_id, []), key=lambda i: (-preds[i].prob, -i)",
+        tests=(f"{EVALUATE_DATASET}::test_score_ties_rank_in_input_order",),
+    ),
+    Mutant(
+        id="rotation-band-rows-reversed",
+        path=AUGMENT,
+        old="v = vs[r0:r1, None]",
+        new="v = vs[r0:r1][::-1, None]",
+        tests=("tests/test_augment.py::TestKernelsMatchReference::test_rotation",
+               "tests/test_augment.py::TestRowBands::test_rotation"),
+    ),
+    Mutant(
+        id="fuse-writes-images-unsorted",
+        path="detfuse/cli.py",
+        old="for image_id in sorted(by_image):",
+        new="for image_id in list(by_image):",
+        tests=("tests/test_cli.py::test_fuse_writes_images_in_sorted_order",),
+    ),
+    Mutant(
+        id="loss-accepts-non-finite-prediction",
+        path=LOSS,
+        old="map(math.isfinite, (p.x, p.y, p.w, p.h, p.conf, *p.class_probs))",
+        new="map(math.isfinite, ())",
+        tests=("tests/test_loss.py::test_non_finite_fields_rejected",),
+    ),
+    Mutant(
+        id="loss-accepts-non-finite-target",
+        path=LOSS,
+        old="map(math.isfinite, (t.x, t.y, t.w, t.h, t.target_conf))",
+        new="map(math.isfinite, ())",
+        tests=("tests/test_loss.py::test_non_finite_fields_rejected",),
+    ),
 )
 
 
@@ -296,10 +353,15 @@ def killed(mutant: Mutant) -> tuple[bool, subprocess.CompletedProcess]:
     return result.returncode == TESTS_FAILED, result
 
 
+def killed_all():
+    """``killed`` of each mutant, in table order, run ``os.cpu_count()`` at a time."""
+    with ThreadPoolExecutor(min(len(MUTANTS), os.cpu_count() or 1)) as pool:
+        yield from zip(MUTANTS, pool.map(killed, MUTANTS))
+
+
 def main() -> int:
     survived = 0
-    for mutant in MUTANTS:
-        ok, _ = killed(mutant)
+    for mutant, (ok, _) in killed_all():
         survived += not ok
         print(f"{'killed' if ok else 'SURVIVED'}  {mutant.id}", flush=True)
     return 1 if survived else 0

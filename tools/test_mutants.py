@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mutants import MUTANTS, ROOT, copy_src, killed, mutated_text, run_tests
+from mutants import MUTANTS, ROOT, copy_src, killed_all, mutated_text, run_tests
 
 by_id = pytest.mark.parametrize("mutant", MUTANTS, ids=[m.id for m in MUTANTS])
 
@@ -37,7 +37,13 @@ def test_unmutated_copy_passes_every_named_test(tmp_path):
     assert result.returncode == 0, result.stdout[-4000:]
 
 
+@pytest.fixture(scope="module")
+def outcomes():
+    """Every mutant's ``killed`` result, run in parallel once for the module."""
+    return {mutant.id: outcome for mutant, outcome in killed_all()}
+
+
 @by_id
-def test_mutant_is_killed(mutant):
-    ok, result = killed(mutant)
+def test_mutant_is_killed(mutant, outcomes):
+    ok, result = outcomes[mutant.id]
     assert ok, f"{mutant.id} survived {mutant.tests}:\n{result.stdout[-4000:]}"
