@@ -173,11 +173,26 @@ class TestMirror:
         mirror_with_boxes(AnnotatedImage(img), in_place=True)
         assert np.array_equal(img, expected)
 
-    def test_read_only_source_cannot_be_flipped_in_place(self):
-        img = rand_image(np.random.default_rng(34), 5, 4)
+    @staticmethod
+    def _read_only(img):
         img.flags.writeable = False
+        return img
+
+    # an in-place flip writes into the source, so the source is the out array
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda img: TestMirror._read_only(img),
+            lambda img: img[::2],  # rows strided, each row still contiguous
+        ],
+        ids=["read-only", "strided"],
+    )
+    def test_bad_out_rejected(self, make_out):
+        out = make_out(rand_image(np.random.default_rng(34), 5, 4))
+        before = out.copy()
         with pytest.raises(ContractError):
-            mirror_with_boxes(AnnotatedImage(img), in_place=True)
+            mirror_with_boxes(AnnotatedImage(out), in_place=True)
+        assert np.array_equal(out, before)
 
     def test_strided_source_cannot_be_flipped_in_place(self):
         img = rand_image(np.random.default_rng(36), 10, 4)[:, ::2]
