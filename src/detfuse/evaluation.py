@@ -12,9 +12,12 @@ the class-aware rule (AP) and the class-agnostic rule (detection rate).
 IoU rows are computed with numpy for a fixed block of consecutive
 predictions at a time, with the float operations of ``geometry.iou``, so
 the values are the same bits; a block bounds memory on crowded images,
-where a full prediction x ground-truth matrix would not. Ground truths a
-rule can no longer take carry a -inf penalty, so ``argmax`` keeps the
-first-max tie rule.
+where a full prediction x ground-truth matrix would not. The pairs of a
+block whose IoU exceeds the threshold are sorted once, by prediction, then
+descending IoU, then ground-truth index, which gives each prediction a short
+list of candidates; both rules scan that list in Python, so a prediction
+costs nothing beyond its candidates and the tie rule (first ground truth in
+input order) is the sort's.
 """
 
 from __future__ import annotations
@@ -139,11 +142,12 @@ def _sweep(
 
     Predictions are taken in descending confidence (ties: input order); under
     each rule a prediction grabs the available ground truth with the highest
-    IoU (first in input order on ties), provided that IoU is positive and
-    strictly exceeds the threshold. Both rules read the same IoU rows. A
-    ground truth is unavailable when its penalty entry is -inf: under the
-    class-aware rule when it has another class or is matched, under the
-    class-agnostic rule when it is matched.
+    IoU (first in input order on ties), provided that IoU strictly exceeds
+    the threshold. Both rules read one candidate list per prediction: the
+    ground truths whose IoU with it exceeds the threshold, sorted by
+    descending IoU, then ascending index. Under the class-agnostic rule a
+    prediction takes its first candidate not yet matched; under the
+    class-aware rule, its first candidate of its class not yet matched.
 
     Returns the index of the ground truth each prediction matched under the
     class-aware rule (-1 for none), in input order, and the number of
@@ -154,29 +158,31 @@ def _sweep(
         return matched_gt, 0
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].prob, i))
     g = np.array([(*gt.box.as_tuple(), area(gt.box)) for gt in gts], dtype=float)
-    penalty: dict[int, np.ndarray] = {}
-    for j, gt in enumerate(gts):
-        penalty.setdefault(gt.class_id, np.full(len(gts), -np.inf))[j] = 0.0
-    agnostic = np.zeros(len(gts))
+    gt_class = [gt.class_id for gt in gts]
+    taken = [False] * len(gts)  # matched under the class-aware rule
+    agnostic_taken = [False] * len(gts)
     agnostic_hits = 0
     for start in range(0, len(order), _BLOCK):
         rows = order[start : start + _BLOCK]
         block = _iou_block([preds[i].box for i in rows], gts, g)
-        for i, row in zip(rows, block):
-            free = penalty.get(preds[i].class_id)
-            if free is not None:
-                scores = row + free
-                j = int(scores.argmax())
-                v = float(scores[j])
-                if v > 0 and v > iou_threshold:
-                    matched_gt[i] = j
-                    free[j] = -np.inf
-            scores = row + agnostic
-            j = int(scores.argmax())
-            v = float(scores[j])
-            if v > 0 and v > iou_threshold:
+        r, c = np.nonzero(block > iou_threshold)
+        # candidate pairs by row, then descending IoU, then ground-truth index
+        k = np.lexsort((c, -block[r, c], r))
+        row = -1
+        for a, j in zip(r[k].tolist(), c[k].tolist()):
+            if a != row:
+                row = a
+                i = rows[a]
+                class_id = preds[i].class_id
+                aware = agnostic = True  # still looking under each rule
+            if aware and not taken[j] and gt_class[j] == class_id:
+                taken[j] = True
+                matched_gt[i] = j
+                aware = False
+            if agnostic and not agnostic_taken[j]:
+                agnostic_taken[j] = True
                 agnostic_hits += 1
-                agnostic[j] = -np.inf
+                agnostic = False
     return matched_gt, agnostic_hits
 
 

@@ -13,7 +13,9 @@ as decimal integers, and image_id as a JSON string with non-ASCII
 characters escaped.
 
 The reader takes any UTF-8 file of such objects, one per line, in any key
-order and spacing; blank lines and extra keys are ignored. It requires
+order and spacing; blank lines and extra keys are ignored. Each line, with
+surrounding whitespace stripped, is decoded as ``json.loads`` decodes it,
+to the same value or the same error. It requires
 image_id to be a string, class_id and model_id to be integers (not
 ``1.0`` or ``true``), bbox to be a list of four numbers and score a
 number (integers or reals, not strings or booleans). The box must be
@@ -22,6 +24,8 @@ must be non-negative. Anything else raises ParseError naming the file and
 the line (for text that is not UTF-8, the last line read before it).
 
 Annotation files carry one ``class_id x1 y1 x2 y2`` record per line. A
+line holding a non-ASCII character or ``_`` raises ParseError, so Python's
+digit separators (``1_0``) and non-ASCII digits are not read as numbers. A
 manifest lists ``image_path annotation_path`` pairs, resolved relative to
 the manifest's directory; ``load_ground_truth`` requires the image stems of
 one manifest to be distinct. Images are binary PPM (P6, maxval 255, width
@@ -147,12 +151,35 @@ def _record_to_detection(rec: object) -> Detection:
     return Detection(Box(x1, y1, x2, y2), class_id, score, model_id, image_id)
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _json_value(line: str) -> object:
+    """``json.loads(line)``, in the value returned and in the error raised.
+
+    A line that holds one JSON value from its first character to its last
+    is scanned directly, as ``json.loads`` would scan it. Every other line
+    (leading or trailing whitespace, a BOM, no value, extra data) goes to
+    ``json.loads`` itself, so its checks and messages are the ones raised.
+    Nesting within a few levels of the recursion limit is the one place the
+    two can part: that limit counts stack frames, and this path takes two
+    fewer than ``json.loads``.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except StopIteration:
+        end = -1
+    if end != len(line):
+        return json.loads(line)
+    return value
+
+
 def load_detections(path: str | os.PathLike) -> list[Detection]:
     """Read a detection record file; see the module docstring for what it accepts."""
     out: list[Detection] = []
     for lineno, line in _lines(path):
         try:
-            out.append(_record_to_detection(json.loads(line)))
+            out.append(_record_to_detection(_json_value(line)))
         except (ValueError, OverflowError, RecursionError) as e:
             raise ParseError(f"{path}:{lineno}: bad detection record: {e}") from e
     return out
@@ -169,8 +196,15 @@ def save_annotations(path: str | os.PathLike, anns: Iterable[GroundTruthRecord])
 
 
 def load_annotations(path: str | os.PathLike, image_id: str) -> list[GroundTruthRecord]:
+    """Read an annotation file; see the module docstring for what it accepts."""
     out: list[GroundTruthRecord] = []
     for lineno, line in _lines(path):
+        # int() and float() also take digit separators and non-ASCII digits
+        if "_" in line or not line.isascii():
+            raise ParseError(
+                f"{path}:{lineno}: bad annotation record: only ASCII characters"
+                " and no '_' are allowed"
+            )
         parts = line.split()
         if len(parts) != 5:
             raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")

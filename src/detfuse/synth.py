@@ -7,6 +7,14 @@ IoU with the ground-truth box) plus noise, so probability-weighted fusion
 has signal to work with. Everything is deterministic given the seed; per-image
 sub-streams are derived by XOR-ing the seed with a stable hash of the
 image id, so per-image generation order never affects results.
+
+The order of the draws from an image's stream is part of the output bytes.
+Each ground-truth instance, in input order, takes one uniform (the drop);
+a kept instance then takes five standard normals in one call (the jitter of
+x1, x2, y1 and y2, then the confidence noise) and one uniform (the
+misclassification), plus one integer when its label flips. After the
+instances come one Poisson count of spurious boxes and, per spurious box,
+two uniform x, two uniform y, one uniform confidence and one integer class.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 from .errors import ContractError
 from .evaluation import GroundTruthRecord
 from .fusion import Detection
-from .geometry import Box, iou
+from .geometry import MIN_NORMAL, Box, iou
 
 # spurious boxes stay low-confidence so ranking can suppress them
 FP_CONF_RANGE = (0.05, 0.5)
@@ -102,6 +110,8 @@ def generate_model_detections(
     for g in gts:
         by_image[g.image_id].append(g)
 
+    sigma = float(noise.jitter_sigma)
+    conf_noise = float(noise.conf_noise)
     out: list[Detection] = []
     for image_id in sorted(by_image):
         rng = _image_stream(noise.seed, image_id)
@@ -109,16 +119,39 @@ def generate_model_detections(
             if rng.random() < noise.drop_rate:
                 continue
             # Python floats, not np.float64 scalars: the same IEEE operations,
-            # several times cheaper in min/max/iou.
-            jx1, jx2, jy1, jy2 = (rng.standard_normal(4) * noise.jitter_sigma).tolist()
-            xa = min(max(g.box.x1 + jx1, 0.0), width)
-            xb = min(max(g.box.x2 + jx2, 0.0), width)
-            ya = min(max(g.box.y1 + jy1, 0.0), height)
-            yb = min(max(g.box.y2 + jy2, 0.0), height)
-            box = Box(min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb))
-            quality = iou(box, g.box)
-            conf = quality + rng.standard_normal() * noise.conf_noise
-            conf = min(max(conf, 0.0), 1.0)
+            # several times cheaper. The clamps, min/max and IoU below are
+            # written out with builtin min/max's tie rule: max(a, b) is a
+            # unless b > a, and min(a, b) is a unless b < a, which decides the
+            # sign of a zero.
+            n1, n2, n3, n4, n5 = rng.standard_normal(5).tolist()
+            b = g.box
+            gx1, gy1, gx2, gy2 = b.x1, b.y1, b.x2, b.y2
+            xa = gx1 + n1 * sigma
+            xa = 0.0 if 0.0 > xa else xa
+            xa = width if width < xa else xa
+            xb = gx2 + n2 * sigma
+            xb = 0.0 if 0.0 > xb else xb
+            xb = width if width < xb else xb
+            ya = gy1 + n3 * sigma
+            ya = 0.0 if 0.0 > ya else ya
+            ya = height if height < ya else ya
+            yb = gy2 + n4 * sigma
+            yb = 0.0 if 0.0 > yb else yb
+            yb = height if height < yb else yb
+            x1 = xb if xb < xa else xa
+            x2 = xb if xb > xa else xa
+            y1 = yb if yb < ya else ya
+            y2 = yb if yb > ya else ya
+            box = Box(x1, y1, x2, y2)
+            # geometry.iou(box, b), which itself computes an underflowing union
+            iw = (gx2 if gx2 < x2 else x2) - (gx1 if gx1 > x1 else x1)
+            ih = (gy2 if gy2 < y2 else y2) - (gy1 if gy1 > y1 else y1)
+            inter = iw * ih if (iw > 0 and ih > 0) else 0.0
+            union = (x2 - x1) * (y2 - y1) + (gx2 - gx1) * (gy2 - gy1) - inter
+            quality = iou(box, b) if union < MIN_NORMAL else inter / union
+            conf = quality + n5 * conf_noise
+            conf = 0.0 if 0.0 > conf else conf
+            conf = 1.0 if 1.0 < conf else conf
             class_id = g.class_id
             if rng.random() < noise.misclass_rate and len(classes) > 1:
                 k = int(rng.integers(len(classes) - 1))

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detfuse import (
     Box,
@@ -288,6 +289,96 @@ class TestEvaluateDataset:
                 assert r.ap == pytest.approx(ap, abs=1e-9)
             assert report.mean_ap == pytest.approx(expected["mAP"], abs=1e-9)
             assert report.detection_rate == pytest.approx(expected["detection_rate"], abs=1e-12)
+
+
+def _assert_matches_brute_force(preds, gts, iou_threshold):
+    report = evaluate_dataset(preds, gts, iou_threshold)
+    expected = brute_force_evaluate(
+        [(p.image_id, p.class_id, p.box.as_tuple(), p.prob) for p in preds],
+        [(g.image_id, g.class_id, g.box.as_tuple()) for g in gts],
+        iou_threshold,
+    )
+    for r in report.per_class:
+        ap, tp, fp, fn = expected[r.class_id]
+        assert (r.tp, r.fp, r.fn) == (tp, fp, fn)
+        assert r.ap == pytest.approx(ap, abs=1e-9)
+    assert report.detection_rate == expected["detection_rate"]
+
+
+# Boxes on a small grid, with IoUs of exactly 1/3, 1/2 and 1 between them,
+# so duplicates, equal-IoU candidates and IoU at the threshold are common.
+_GRID_BOXES = [
+    (0, 0, 10, 10), (0, 0, 10, 5), (0, 0, 20, 10), (5, 0, 15, 10),
+    (10, 0, 20, 10), (0, 5, 10, 15), (2, 0, 12, 10), (0, 0, 10, 10),
+]
+_grid_records = st.tuples(
+    st.sampled_from(_GRID_BOXES), st.integers(0, 1), st.sampled_from(["a", "b"])
+)
+
+
+class TestMatchingEdges:
+    """The candidate lists of ``_sweep`` against the brute-force referee."""
+
+    def test_duplicate_ground_truths(self):
+        gts = [gt((0, 0, 10, 10)), gt((0, 0, 10, 10)), gt((0, 0, 10, 10), class_id=1)]
+        preds = [det((0, 0, 10, 10), prob=0.9), det((0, 0, 10, 10), prob=0.8),
+                 det((0, 0, 10, 10), prob=0.7), det((0, 0, 10, 10), class_id=1, prob=0.6)]
+        _assert_matches_brute_force(preds, gts, 0.5)
+        outcomes, fn = match_detections(preds, gts)
+        # identity, since equal records compare equal
+        assert [o.matched_gt for o in outcomes] == [gts[0], gts[1], None, gts[2]]
+        assert outcomes[1].matched_gt is gts[1]
+        assert fn == 0
+
+    def test_equal_score_duplicate_predictions(self):
+        gts = [gt((0, 0, 10, 10)), gt((0, 0, 20, 10))]
+        preds = [det((0, 0, 10, 10), prob=0.5) for _ in range(3)]
+        _assert_matches_brute_force(preds, gts, 0.4)
+        outcomes, _ = match_detections(preds, gts, 0.4)
+        # input order breaks the score tie: the first takes IoU 1, the second IoU 1/2
+        assert [o.matched_gt for o in outcomes] == [gts[0], gts[1], None]
+
+    def test_equal_iou_goes_to_first_ground_truth(self):
+        # the first prediction overlaps both ground truths with IoU 1/3; taking
+        # the first leaves the second prediction nothing to match
+        gts = [gt((0, 0, 10, 10)), gt((10, 0, 20, 10))]
+        preds = [det((5, 0, 15, 10), prob=0.9), det((0, 0, 10, 10), prob=0.8)]
+        outcomes, fn = match_detections(preds, gts, 0.3)
+        assert [o.verdict for o in outcomes] == ["TP", "FP"]
+        assert outcomes[0].matched_gt is gts[0]
+        assert fn == 1
+        _assert_matches_brute_force(preds, gts, 0.3)
+
+    @pytest.mark.parametrize("threshold", [1 / 3, 0.5])
+    def test_iou_at_threshold_does_not_match(self, threshold):
+        # (0, 0, 10, 10) against (5, 0, 15, 10) is 1/3, against (0, 0, 10, 5) 1/2
+        gts = [gt((0, 0, 10, 10))]
+        preds = [det((5, 0, 15, 10), prob=0.9), det((0, 0, 10, 5), prob=0.8)]
+        _assert_matches_brute_force(preds, gts, threshold)
+        outcomes, fn = match_detections(preds, gts, threshold)
+        expected = ["FP", "FP"] if threshold == 0.5 else ["FP", "TP"]
+        assert [o.verdict for o in outcomes] == expected
+
+    def test_candidates_across_blocks(self):
+        # more predictions than one IoU block holds, all on a few boxes
+        boxes = _GRID_BOXES * 25
+        gts = [gt(b, class_id=k % 2) for k, b in enumerate(_GRID_BOXES * 3)]
+        preds = [det(b, class_id=k % 2, prob=(k % 4) / 4) for k, b in enumerate(boxes)]
+        for threshold in (0.3, 1 / 3, 0.5, 0.75):
+            _assert_matches_brute_force(preds, gts, threshold)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gt_records=st.lists(_grid_records, max_size=10),
+        pred_records=st.lists(
+            st.tuples(_grid_records, st.sampled_from([0.25, 0.5, 1.0])), max_size=14
+        ),
+        threshold=st.sampled_from([0.3, 1 / 3, 0.5, 0.75]),
+    )
+    def test_grid_matches_brute_force(self, gt_records, pred_records, threshold):
+        gts = [gt(b, c, image_id) for b, c, image_id in gt_records]
+        preds = [det(b, c, prob, image_id) for (b, c, image_id), prob in pred_records]
+        _assert_matches_brute_force(preds, gts, threshold)
 
 
 def _random_fixture(rng, n_images=4, max_boxes=8, n_classes=3):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from detfuse import Box, ContractError, Detection, GroundTruthRecord, ParseError
 from detfuse.io import (
+    _json_value,
     atomic_output,
     load_annotations,
     load_detections,
@@ -241,6 +242,56 @@ detection_lines = st.one_of(
 )
 
 
+def _decoded(parse, text):
+    """The value ``parse`` returns for ``text`` (by repr, so NaN and -0.0
+    compare), or the type, message and position of what it raises."""
+    try:
+        return repr(parse(text))
+    except (ValueError, RecursionError) as e:
+        return type(e), str(e), getattr(e, "pos", None)
+
+
+# JSON whitespace, other Unicode whitespace (which json rejects and
+# str.strip removes), a BOM, and bits of JSON to truncate or append
+_NEAR_JSON_BITS = ["", " ", "\t", "\n", "\r", "\x0b", "\x1c", "\u2028", "\xa0", "\ufeff",
+                   "x", "1", "{}", "[", "]", ",", '"', "NaN", "-Infinity", "Infinity", "nul"]
+near_json_text = st.builds(
+    lambda head, body, cut, tail: head + body[: len(body) - cut] + tail,
+    st.sampled_from(_NEAR_JSON_BITS),
+    st.one_of(json_values.map(json.dumps), near_records.map(json.dumps)),
+    st.integers(0, 3),
+    st.sampled_from(_NEAR_JSON_BITS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(max_size=40), near_json_text))
+def test_json_value_equals_json_loads(text):
+    assert _decoded(_json_value, text) == _decoded(json.loads, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": 1}', '\ufeff{"a": 1}', ' {"a": 1}', '{"a": 1} ', '\t[1]\r\n', "\x0b[1]", "[1]\x1c",
+        "\u2028[1]", "[1]\u2028", "[1] [2]", "[1]]", "1 x", "1x", "", " ", "\ufeff", "NaN",
+        "[NaN, Infinity, -Infinity]", "-0.0", "1e400", '"\\ud800"', "[" * 100 + "]" * 100,
+        "[" * 100_000, "{" * 100_000 + "}" * 100_000, '{"a": [1, 2} ', "nul",
+    ],
+)
+def test_json_value_equals_json_loads_on_edges(text):
+    assert _decoded(_json_value, text) == _decoded(json.loads, text)
+
+
+def test_json_value_rejects_a_bom_and_trailing_data_as_json_loads_does():
+    with pytest.raises(json.JSONDecodeError, match="Unexpected UTF-8 BOM") as e:
+        _json_value('\ufeff{"a": 1}')
+    assert e.value.pos == 0
+    with pytest.raises(json.JSONDecodeError, match="Extra data") as e:
+        _json_value("[1]  2")
+    assert e.value.pos == 5
+
+
 def _load_or_parse_error(load, path):
     try:
         return load(path)
@@ -310,6 +361,20 @@ def test_annotation_bad_field_count(tmp_path):
     path = tmp_path / "ann.txt"
     path.write_text("0 1 2 3\n")
     with pytest.raises(ParseError, match=":1:"):
+        load_annotations(path, "pic")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["1_0 1_0.5 2.0 3e1_0 40", "0 1 2 3 4_0", "\u0663 1 2 3 4", "0 1 2 3 \uff14",
+     "0\u30001 2 3 4", "0 1 2 3 4 \u00b2"],
+    ids=["separators", "separator-last", "arabic-indic", "fullwidth", "ideographic-space",
+         "superscript"],
+)
+def test_annotation_python_only_number_forms_rejected(tmp_path, line):
+    path = tmp_path / "ann.txt"
+    path.write_text(f"0 1 2 3 4\n{line}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=":2: bad annotation record: only ASCII"):
         load_annotations(path, "pic")
 
 

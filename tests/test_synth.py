@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -15,8 +16,9 @@ from detfuse import (
     generate_model_detections,
     random_ground_truth,
 )
+from detfuse.geometry import iou
 from detfuse.io import save_detections
-from detfuse.synth import MAX_FP_RATE, MAX_MODELS
+from detfuse.synth import FP_CONF_RANGE, MAX_FP_RATE, MAX_MODELS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -189,3 +191,115 @@ def test_monotone_degradation_with_jitter():
     for a, b in zip(mean_maps, mean_maps[1:]):
         assert b <= a + 0.02, mean_maps
     assert mean_maps[-1] < mean_maps[0]
+
+
+# ---------------------------------------------------------------------------
+# Referee: the per-instance loop as it was written with builtin min/max,
+# vectorised jitter and geometry.iou. Frozen; never edit it to fit the library.
+
+
+def reference_model_detections(gts, noise, model_id=0, image_size=(640.0, 480.0)):
+    width, height = image_size
+    classes = sorted({g.class_id for g in gts})
+    by_image = {}
+    for g in gts:
+        by_image.setdefault(g.image_id, []).append(g)
+    out = []
+    for image_id in sorted(by_image):
+        digest = hashlib.sha256(image_id.encode("utf-8")).digest()
+        rng = np.random.default_rng(noise.seed ^ int.from_bytes(digest[:8], "big"))
+        for g in by_image[image_id]:
+            if rng.random() < noise.drop_rate:
+                continue
+            jx1, jx2, jy1, jy2 = (rng.standard_normal(4) * noise.jitter_sigma).tolist()
+            xa = min(max(g.box.x1 + jx1, 0.0), width)
+            xb = min(max(g.box.x2 + jx2, 0.0), width)
+            ya = min(max(g.box.y1 + jy1, 0.0), height)
+            yb = min(max(g.box.y2 + jy2, 0.0), height)
+            box = Box(min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb))
+            quality = iou(box, g.box)
+            conf = quality + rng.standard_normal() * noise.conf_noise
+            conf = min(max(conf, 0.0), 1.0)
+            class_id = g.class_id
+            if rng.random() < noise.misclass_rate and len(classes) > 1:
+                k = int(rng.integers(len(classes) - 1))
+                others = [c for c in classes if c != g.class_id]
+                class_id = others[k]
+            out.append(Detection(box, class_id, conf, model_id, image_id))
+        for _ in range(int(rng.poisson(noise.fp_rate))):
+            xa, xb = sorted(rng.uniform(0.0, width, 2).tolist())
+            ya, yb = sorted(rng.uniform(0.0, height, 2).tolist())
+            conf = float(rng.uniform(*FP_CONF_RANGE))
+            class_id = classes[int(rng.integers(len(classes)))] if classes else 0
+            out.append(Detection(Box(xa, ya, xb, yb), class_id, conf, model_id, image_id))
+    return out
+
+
+def _bits(dets):
+    """Each detection with its floats as hex (so the sign of a zero counts)
+    and the type of every coordinate."""
+    return [
+        (d.image_id, d.model_id, d.class_id, float(d.prob).hex(), type(d.prob),
+         *(float(v).hex() for v in d.box.as_tuple()), *map(type, d.box.as_tuple()))
+        for d in dets
+    ]
+
+
+def edge_fixture(width=640.0, height=480.0):
+    """Boxes at 0, at the image edge, spanning it, signed zeros and tiny ones, over
+    many images so each sees many draws."""
+    boxes = [
+        Box(-0.0, 0.0, 0.0, 1.0),
+        Box(0.0, -0.0, 1.0, 0.0),
+        Box(0.0, 0.0, 0.0, 0.0),
+        Box(0.0, 0.0, 5.0, 5.0),
+        Box(width - 5.0, height - 5.0, width, height),
+        Box(width, height, width, height),
+        Box(0.0, 0.0, width, height),
+        Box(3.0, 4.0, 3.0, 9.0),
+        Box(1e-200, 1e-200, 2e-200, 2e-200),
+        Box(100.25, 50.5, 180.75, 140.0),
+    ]
+    return [
+        GroundTruthRecord(f"edge{i:03d}", (i + k) % 3, box)
+        for i in range(40) for k, box in enumerate(boxes)
+    ] + random_ground_truth(30, 4, 6, seed=17, image_size=(width, height))
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseModel(),
+        NoiseModel(seed=3),
+        NoiseModel(jitter_sigma=2.0, drop_rate=0.5, conf_noise=0.05, seed=1),
+        NoiseModel(jitter_sigma=40.0, conf_noise=5.0, seed=2),
+        NoiseModel(jitter_sigma=1.5, misclass_rate=0.5, fp_rate=3.0, seed=4),
+        NoiseModel(jitter_sigma=1e-300, conf_noise=1e-300, seed=5),
+        NoiseModel(drop_rate=1.0, fp_rate=3.0, seed=6),
+        NoiseModel(jitter_sigma=3, conf_noise=1, seed=7),
+    ],
+    ids=["exact", "exact-seed3", "drop-half", "conf-noise-5", "misclass-fp",
+         "tiny-noise", "drop-all", "integer-sigmas"],
+)
+@pytest.mark.parametrize("image_size", [(640.0, 480.0), (640, 480)], ids=["float", "int"])
+def test_matches_reference_loop_bit_for_bit(noise, image_size):
+    gts = edge_fixture(*image_size)
+    got = generate_model_detections(gts, noise, model_id=2, image_size=image_size)
+    want = reference_model_detections(gts, noise, model_id=2, image_size=image_size)
+    assert _bits(got) == _bits(want)
+
+
+def test_reference_fixture_reaches_signed_zeros_and_both_clamps():
+    # the tie rule that decides a zero's sign: a -0.0 corner with zero
+    # jitter keeps its sign in some draws and not in others
+    dets = reference_model_detections(edge_fixture(), NoiseModel())
+    signs = {math.copysign(1.0, d.box.x1) for d in dets if d.box.x1 == 0.0}
+    x2_signs = {math.copysign(1.0, d.box.x2) for d in dets if d.box.x2 == 0.0}
+    assert signs == x2_signs == {-1.0, 1.0}
+    # confidence noise 5 clamps at both ends, and jitter 40 at every edge
+    noise = NoiseModel(jitter_sigma=40.0, conf_noise=5.0, seed=2)
+    dets = reference_model_detections(edge_fixture(), noise)
+    probs = [d.prob for d in dets]
+    assert probs.count(0.0) > 0 and probs.count(1.0) > 0
+    corners = {v for d in dets for v in d.box.as_tuple()}
+    assert {0.0, 640.0, 480.0} <= corners

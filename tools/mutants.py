@@ -8,7 +8,8 @@ later edit that weakens a referee shows.
     python -m pytest -q tools     # the gate: every mutant killed
     python tools/mutants.py       # one line per mutant: killed or survived
 
-The mutants run in parallel, one pytest process per CPU.
+The mutants and the unmutated copy run in parallel, one pytest process
+per CPU.
 
 A mutant is killed when its named tests run and at least one fails; a copy
 that does not import or collect counts as survived, so a mutant must stay a
@@ -49,6 +50,8 @@ LOSS = "detfuse/yolo_loss.py"
 EVALUATION = "detfuse/evaluation.py"
 EXPAND_EQUIVALENCE = "tests/test_augment.py::TestExpandEquivalence"
 EVALUATE_DATASET = "tests/test_evaluation.py::TestEvaluateDataset"
+MATCHING_EDGES = "tests/test_evaluation.py::TestMatchingEdges"
+JSON_EQUALS_LOADS = "tests/test_io.py::test_json_value_equals_json_loads"
 
 MUTANTS = (
     Mutant(
@@ -141,11 +144,23 @@ MUTANTS = (
     Mutant(
         id="match-at-iou-equal-to-threshold",
         path=EVALUATION,
-        old="                if v > 0 and v > iou_threshold:\n"
-            "                    matched_gt[i] = j",
-        new="                if v > 0 and v >= iou_threshold:\n"
-            "                    matched_gt[i] = j",
+        old="r, c = np.nonzero(block > iou_threshold)",
+        new="r, c = np.nonzero(block >= iou_threshold)",
         tests=("tests/test_evaluation.py",),
+    ),
+    Mutant(
+        id="candidate-ties-in-reverse",
+        path=EVALUATION,
+        old="k = np.lexsort((c, -block[r, c], r))",
+        new="k = np.lexsort((-c, -block[r, c], r))",
+        tests=(f"{MATCHING_EDGES}::test_equal_iou_goes_to_first_ground_truth",),
+    ),
+    Mutant(
+        id="class-aware-scan-ignores-class",
+        path=EVALUATION,
+        old="if aware and not taken[j] and gt_class[j] == class_id:",
+        new="if aware and not taken[j]:",
+        tests=("tests/test_evaluation.py::TestMatching::test_class_must_match",),
     ),
     Mutant(
         id="mirror-bound-as-default-argument",
@@ -308,6 +323,34 @@ MUTANTS = (
         new="map(math.isfinite, ())",
         tests=("tests/test_loss.py::test_non_finite_fields_rejected",),
     ),
+    Mutant(
+        id="synth-max-ties-to-second",
+        path="detfuse/synth.py",
+        old="x2 = xb if xb > xa else xa",
+        new="x2 = xb if xb >= xa else xa",
+        tests=("tests/test_synth.py::test_matches_reference_loop_bit_for_bit",),
+    ),
+    Mutant(
+        id="json-line-accepts-trailing-data",
+        path=IO,
+        old="if end != len(line):",
+        new="if end < 0:",
+        tests=(JSON_EQUALS_LOADS, f"{JSON_EQUALS_LOADS}_on_edges"),
+    ),
+    Mutant(
+        id="json-line-skips-bom",
+        path=IO,
+        old="return json.loads(line)",
+        new='return json.loads(line.removeprefix("\\ufeff"))',
+        tests=(JSON_EQUALS_LOADS, f"{JSON_EQUALS_LOADS}_on_edges"),
+    ),
+    Mutant(
+        id="annotation-accepts-digit-separators",
+        path=IO,
+        old='if "_" in line or not line.isascii():',
+        new="if not line.isascii():",
+        tests=("tests/test_io.py::test_annotation_python_only_number_forms_rejected",),
+    ),
 )
 
 
@@ -353,18 +396,30 @@ def killed(mutant: Mutant) -> tuple[bool, subprocess.CompletedProcess]:
     return result.returncode == TESTS_FAILED, result
 
 
-def killed_all():
-    """``killed`` of each mutant, in table order, run ``os.cpu_count()`` at a time."""
-    with ThreadPoolExecutor(min(len(MUTANTS), os.cpu_count() or 1)) as pool:
-        yield from zip(MUTANTS, pool.map(killed, MUTANTS))
+def unmutated() -> subprocess.CompletedProcess:
+    """Every test the table names, run on an unmutated copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_tests(copy_src(Path(tmp)), sorted({t for m in MUTANTS for t in m.tests}))
+
+
+def run_all() -> tuple[subprocess.CompletedProcess, list[tuple[bool, subprocess.CompletedProcess]]]:
+    """``unmutated()`` and ``killed`` of each mutant, in table order, as one
+    pool of jobs run ``os.cpu_count()`` at a time. The unmutated run, the
+    longest job, starts first."""
+    with ThreadPoolExecutor(min(len(MUTANTS) + 1, os.cpu_count() or 1)) as pool:
+        clean = pool.submit(unmutated)
+        results = list(pool.map(killed, MUTANTS))
+        return clean.result(), results
 
 
 def main() -> int:
+    clean, results = run_all()
+    print(f"{'passed' if clean.returncode == 0 else 'FAILED'}  unmutated copy", flush=True)
     survived = 0
-    for mutant, (ok, _) in killed_all():
+    for mutant, (ok, _) in zip(MUTANTS, results):
         survived += not ok
         print(f"{'killed' if ok else 'SURVIVED'}  {mutant.id}", flush=True)
-    return 1 if survived else 0
+    return 1 if survived or clean.returncode else 0
 
 
 if __name__ == "__main__":

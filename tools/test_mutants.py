@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mutants import MUTANTS, ROOT, copy_src, killed_all, mutated_text, run_tests
+from mutants import MUTANTS, ROOT, copy_src, mutated_text, run_all
 
 by_id = pytest.mark.parametrize("mutant", MUTANTS, ids=[m.id for m in MUTANTS])
 
@@ -31,19 +31,21 @@ def test_copy_is_what_the_tests_import(tmp_path):
     assert out.strip() == str(src / "detfuse" / "__init__.py")
 
 
-def test_unmutated_copy_passes_every_named_test(tmp_path):
-    tests = sorted({t for m in MUTANTS for t in m.tests})
-    result = run_tests(copy_src(tmp_path), tests)
-    assert result.returncode == 0, result.stdout[-4000:]
-
-
 @pytest.fixture(scope="module")
-def outcomes():
-    """Every mutant's ``killed`` result, run in parallel once for the module."""
-    return {mutant.id: outcome for mutant, outcome in killed_all()}
+def runs():
+    """The unmutated copy's run and every mutant's ``killed`` result, run in
+    one parallel pool once for the module."""
+    clean, results = run_all()
+    return clean, {mutant.id: outcome for mutant, outcome in zip(MUTANTS, results)}
+
+
+def test_unmutated_copy_passes_every_named_test(runs):
+    clean, _ = runs
+    assert clean.returncode == 0, clean.stdout[-4000:]
 
 
 @by_id
-def test_mutant_is_killed(mutant, outcomes):
+def test_mutant_is_killed(mutant, runs):
+    _, outcomes = runs
     ok, result = outcomes[mutant.id]
     assert ok, f"{mutant.id} survived {mutant.tests}:\n{result.stdout[-4000:]}"
