@@ -34,6 +34,20 @@ where the bands start:
 
 These orders are load-bearing: any other association changes some bytes.
 
+Rotation, color and blur map black to black: a rotation tap outside the
+source adds +0.0, color maps (0, 0, 0) to (0, 0, 0) at every positive
+finite saturation and exposure, and a window of zeros sums to 0. So each
+band computes only the columns that can hold a nonzero byte and writes
+zeros to the rest: for rotation, the columns where some tap of some row of
+the band lands in the source; for color, those from the band's first to
+its last non-black pixel; for blur, those within ``rx`` columns of a
+non-black pixel in the band's rows or the ``ry + 1`` rows above and ``ry``
+below. A band whose first and last columns both hold a non-black pixel
+skips the search. The skipped columns are the black corners an
+arbitrary-angle turn fills: 47.3% of the 30-degree canvas of a 640 x 480
+image, none of a right-angle one. Contrast maps 0 to ``clip(128 -
+128*f)`` and computes every column.
+
 Right-angle turns and horizontal flips permute pixels, and color, blur and
 contrast commute with them bit for bit: color and contrast act on each
 pixel alone, and the blur window is square, so a turned or flipped window
@@ -124,6 +138,29 @@ def _row_bands(height: int, width: int):
     return ((r0, min(r0 + step, height)) for r0 in range(0, height, step))
 
 
+def _span(flags: np.ndarray) -> tuple[int, int]:
+    """``(i0, i1)`` from the first True entry of 1-D ``flags`` to one past the
+    last, ``(0, 0)`` when there is none."""
+    idx = np.flatnonzero(flags)
+    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+
+
+def _nonblack_span(rows: np.ndarray) -> tuple[int, int]:
+    """``(c0, c1)`` from the first column of the (n, w, 3) ``rows`` that holds
+    a nonzero byte to one past the last, ``(0, 0)`` when all are black."""
+    w = rows.shape[1]
+    if rows[:, 0].any() and rows[:, -1].any():  # no black border to search
+        return 0, w
+    b0, b1 = _span(rows.reshape(-1, w * 3).any(axis=0))  # in bytes
+    return b0 // 3, (b1 + 2) // 3
+
+
+def _clear_outside(band: np.ndarray, c0: int, c1: int) -> None:
+    """Zero the columns of ``band`` before ``c0`` and from ``c1`` on."""
+    band[:, :c0] = 0
+    band[:, c1:] = 0
+
+
 def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
                              nw: int, nh: int) -> np.ndarray:
     """Inverse-map bilinear resampling with black outside the source.
@@ -149,6 +186,13 @@ def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
         v = vs[r0:r1, None]
         fx = (x_row + v * sin) - 0.5
         fy = (y_row + v * cos) - 0.5
+        # some tap lands in the source only where floor(fx) lies in
+        # [-1, w - 1] and floor(fy) in [-1, h - 1]; the band's other columns
+        # sum four +0.0 terms, so they are black
+        c0, c1 = _span(((fx >= -1.0) & (fx < w) & (fy >= -1.0) & (fy < h)).any(axis=0))
+        _clear_outside(out[r0:r1], c0, c1)
+        fx = fx[:, c0:c1]
+        fy = fy[:, c0:c1]
         x0 = np.floor(fx)
         y0 = np.floor(fy)
         tx = fx - x0
@@ -178,7 +222,7 @@ def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
         # the weights of a pixel sum to 1 within a few ulp: acc lies in [0, 255.5)
         acc += 0.5
         np.floor(acc, out=acc)
-        np.copyto(out[r0:r1], np.moveaxis(acc, 0, -1), casting="unsafe")
+        np.copyto(out[r0:r1, c0:c1], np.moveaxis(acc, 0, -1), casting="unsafe")
     return out
 
 
@@ -306,7 +350,11 @@ def adjust_color(img: np.ndarray, saturation: float = 1.0, exposure: float = 1.0
         raise ContractError("saturation and exposure factors must be positive and finite")
     out = np.empty(img.shape, dtype=np.uint8)
     for r0, r1 in _row_bands(*img.shape[:2]):
-        _adjust_color_band(img[r0:r1], saturation, exposure, out[r0:r1])
+        # black stays black, so only the columns from the band's first to
+        # its last non-black pixel are computed
+        c0, c1 = _nonblack_span(img[r0:r1])
+        _clear_outside(out[r0:r1], c0, c1)
+        _adjust_color_band(img[r0:r1, c0:c1], saturation, exposure, out[r0:r1, c0:c1])
     return out
 
 
@@ -378,26 +426,37 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
     vertical = img[:ry].sum(axis=0, dtype=np.int64)
     out = np.empty(img.shape, dtype=np.uint8)
     for r0, r1 in _row_bands(h, w):
-        # prefix sums along each row of the band's vertical sums, padded with
-        # rx + 1 zero columns before and rx copies of the total after:
-        # column x's window sum is c[:, x + 2rx + 1] - c[:, x]
-        c = np.empty((r1 - r0, w + 2 * rx + 1, 3), dtype=np.int64)
+        # the rows that enter, leave or lie in the windows of the band are
+        # black outside columns p0 to p1, so the vertical sums change only
+        # there and are 0 elsewhere, and a window sum is 0 more than rx
+        # columns away from them
+        p0, p1 = _nonblack_span(img[max(r0 - ry - 1, 0) : r1 + ry])
+        c0, c1 = max(p0 - rx, 0), min(p1 + rx, w)
+        _clear_outside(out[r0:r1], c0, c1)
+        n = c1 - c0
+        # prefix sums along each row of the band's vertical sums in columns
+        # c0 to c1, padded with rx + 1 zero columns before and rx copies of
+        # the total after: column c0 + x's window sum is
+        # c[:, x + 2rx + 1] - c[:, x]
+        c = np.empty((r1 - r0, n + 2 * rx + 1, 3), dtype=np.int64)
         c[:, : rx + 1] = 0
-        rows = c[:, rx + 1 : rx + 1 + w]
+        rows = c[:, rx + 1 : rx + 1 + n]
+        changing, window, pixels = vertical[p0:p1], vertical[c0:c1], img[:, p0:p1]
         for y in range(r0, r1):
             if y + ry < h:
-                vertical += img[y + ry]  # the row entering the window
+                changing += pixels[y + ry]  # the row entering the window
             if y > ry:
-                vertical -= img[y - ry - 1]  # the row leaving it
-            rows[y - r0] = vertical
+                changing -= pixels[y - ry - 1]  # the row leaving it
+            rows[y - r0] = window
         np.cumsum(rows, axis=1, out=rows)
-        c[:, rx + 1 + w :] = c[:, rx + w : rx + w + 1]
-        sums = c[:, 2 * rx + 1 :] - c[:, :w]
-        mean = sums / (row_counts[r0:r1, None] * col_counts).astype(np.float64)[..., None]
+        c[:, rx + 1 + n :] = c[:, rx + n : rx + n + 1]
+        sums = c[:, 2 * rx + 1 :] - c[:, :n]
+        mean = sums / (row_counts[r0:r1, None]
+                       * col_counts[c0:c1]).astype(np.float64)[..., None]
         # sum <= 255 * count, so the mean lies in [0, 255] and needs no clip
         mean += 0.5
         np.floor(mean, out=mean)
-        np.copyto(out[r0:r1], mean, casting="unsafe")
+        np.copyto(out[r0:r1, c0:c1], mean, casting="unsafe")
     return out
 
 

@@ -25,7 +25,10 @@ the line (for text that is not UTF-8, the last line read before it).
 
 Annotation files carry one ``class_id x1 y1 x2 y2`` record per line. A
 line holding a non-ASCII character or ``_`` raises ParseError, so Python's
-digit separators (``1_0``) and non-ASCII digits are not read as numbers. A
+digit separators (``1_0``) and non-ASCII digits are not read as numbers.
+So does an ASCII control character other than tab inside a record
+(``\x0b``, ``\x1c`` to ``\x1f``, ...), which ``str.split`` would take
+for a field separator and ``float`` would strip. A
 manifest lists ``image_path annotation_path`` pairs, resolved relative to
 the manifest's directory; ``load_ground_truth`` requires the image stems of
 one manifest to be distinct. Images are binary PPM (P6, maxval 255, width
@@ -195,6 +198,10 @@ def save_annotations(path: str | os.PathLike, anns: Iterable[GroundTruthRecord])
             )
 
 
+# ASCII control characters other than tab, which separates fields
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+
+
 def load_annotations(path: str | os.PathLike, image_id: str) -> list[GroundTruthRecord]:
     """Read an annotation file; see the module docstring for what it accepts."""
     out: list[GroundTruthRecord] = []
@@ -204,6 +211,12 @@ def load_annotations(path: str | os.PathLike, image_id: str) -> list[GroundTruth
             raise ParseError(
                 f"{path}:{lineno}: bad annotation record: only ASCII characters"
                 " and no '_' are allowed"
+            )
+        control = _CONTROL.search(line)
+        if control:
+            raise ParseError(
+                f"{path}:{lineno}: bad annotation record: control character"
+                f" {control.group()!r}"
             )
         parts = line.split()
         if len(parts) != 5:

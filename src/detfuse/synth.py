@@ -43,6 +43,14 @@ MAX_FP_RATE = 1000.0
 MAX_MODELS = 1000
 
 
+def _finite_float(v: float) -> bool:
+    """Whether ``float(v)`` is finite; an int too large for a float is not."""
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Error model of one synthetic detector.
@@ -66,13 +74,13 @@ class NoiseModel:
             raise ContractError("drop_rate must be in [0, 1]")
         if not 0.0 <= self.misclass_rate <= 1.0:
             raise ContractError("misclass_rate must be in [0, 1]")
-        if not 0.0 <= self.jitter_sigma < math.inf:
+        if not (self.jitter_sigma >= 0.0 and _finite_float(self.jitter_sigma)):
             raise ContractError(
                 f"jitter_sigma must be finite and non-negative, got {self.jitter_sigma}"
             )
         if not 0.0 <= self.fp_rate <= MAX_FP_RATE:
             raise ContractError(f"fp_rate must be in [0, {MAX_FP_RATE}], got {self.fp_rate}")
-        if not 0.0 <= self.conf_noise < math.inf:
+        if not (self.conf_noise >= 0.0 and _finite_float(self.conf_noise)):
             raise ContractError(
                 f"confidence noise sigma must be finite and non-negative, got {self.conf_noise}"
             )

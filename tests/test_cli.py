@@ -384,6 +384,22 @@ def test_python_only_annotation_numbers_exit_code(tmp_path, capsys, command, lin
     assert set(os.listdir(tmp_path)) == before
 
 
+@pytest.mark.parametrize("line", ["0\x1c1 2\x1f3 4", "0 \x1c1 2 3 4", "0\x0b1 2 3 4"])
+@pytest.mark.parametrize("command", ["eval", "synth"])
+def test_annotation_control_characters_exit_code(tmp_path, capsys, command, line):
+    manifest = make_gts(tmp_path, [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))])
+    (tmp_path / "a.txt").write_text(f"{line}\n", encoding="ascii")
+    preds = tmp_path / "preds.jsonl"
+    save_detections(preds, [Detection(Box(0, 0, 10, 10), 0, 0.9, 0, "a")])
+    before = set(os.listdir(tmp_path))
+    argv = ["eval", str(preds), manifest] if command == "eval" else ["synth", manifest]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "a.txt:1:" in err and "control character" in err
+    assert "Traceback" not in err
+    assert set(os.listdir(tmp_path)) == before
+
+
 def test_eval_failing_write_leaves_no_report(tmp_path, monkeypatch):
     gts = [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))]
     manifest = make_gts(tmp_path, gts)

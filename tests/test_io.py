@@ -378,6 +378,27 @@ def test_annotation_python_only_number_forms_rejected(tmp_path, line):
         load_annotations(path, "pic")
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["0\x1c1 2\x1f3 4", "0 \x1c1 2 3 4", "0\x0b1 2 3 4", "0 1\x0c2 3 4", "0 1 2 3\x004",
+     "0 1 2 3 4\x7f1"],
+    ids=["file-and-unit-separators", "group-separator", "vertical-tab", "form-feed", "nul",
+         "delete"],
+)
+def test_annotation_control_characters_rejected(tmp_path, line):
+    # str.split() splits on \x0b, \x0c and \x1c-\x1f and float() strips them
+    path = tmp_path / "ann.txt"
+    path.write_text(f"0 1 2 3 4\n{line}\n", encoding="ascii")
+    with pytest.raises(ParseError, match=":2: bad annotation record: control character"):
+        load_annotations(path, "pic")
+
+
+def test_annotation_tab_separates_fields(tmp_path):
+    path = tmp_path / "ann.txt"
+    path.write_text("0\t1 2\t3 4\r\n", encoding="ascii")
+    assert load_annotations(path, "pic") == [GroundTruthRecord("pic", 0, Box(1, 2, 3, 4))]
+
+
 def test_manifest_resolves_relative_paths(tmp_path):
     (tmp_path / "sub").mkdir()
     m = tmp_path / "sub" / "manifest.txt"

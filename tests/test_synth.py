@@ -134,6 +134,9 @@ def test_noise_model_validation():
         ({"drop_rate": math.nan}, "drop_rate"),
         ({"misclass_rate": math.nan}, "misclass_rate"),
         ({"seed": -1}, "seed"),
+        # an int compares below math.inf but is too large for a float
+        ({"jitter_sigma": 10**400}, "jitter_sigma"),
+        ({"conf_noise": 10**400}, "noise sigma"),
     ],
 )
 def test_noise_model_rejects_non_finite_and_out_of_range(kwargs, message):

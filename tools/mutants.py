@@ -49,6 +49,7 @@ IO = "detfuse/io.py"
 LOSS = "detfuse/yolo_loss.py"
 EVALUATION = "detfuse/evaluation.py"
 EXPAND_EQUIVALENCE = "tests/test_augment.py::TestExpandEquivalence"
+BLACK_MARGINS = "tests/test_augment.py::TestBlackMargins"
 EVALUATE_DATASET = "tests/test_evaluation.py::TestEvaluateDataset"
 MATCHING_EDGES = "tests/test_evaluation.py::TestMatchingEdges"
 JSON_EQUALS_LOADS = "tests/test_io.py::test_json_value_equals_json_loads"
@@ -134,8 +135,8 @@ MUTANTS = (
     Mutant(
         id="blur-leaving-row-off-by-one",
         path=AUGMENT,
-        old="vertical -= img[y - ry - 1]  # the row leaving it",
-        new="vertical -= img[y - ry]  # the row leaving it",
+        old="changing -= pixels[y - ry - 1]  # the row leaving it",
+        new="changing -= pixels[y - ry]  # the row leaving it",
         tests=(
             "tests/test_augment.py::TestKernelsMatchReference::test_blur",
             "tests/test_augment.py::TestRowBands::test_blur",
@@ -343,6 +344,63 @@ MUTANTS = (
         old="return json.loads(line)",
         new='return json.loads(line.removeprefix("\\ufeff"))',
         tests=(JSON_EQUALS_LOADS, f"{JSON_EQUALS_LOADS}_on_edges"),
+    ),
+    Mutant(
+        id="skipped-columns-end-one-early",
+        path=AUGMENT,
+        old="return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)",
+        new="return (int(idx[0]), int(idx[-1])) if idx.size else (0, 0)",
+        tests=(f"{BLACK_MARGINS}::test_rotation", f"{BLACK_MARGINS}::test_adjust_color",
+               f"{BLACK_MARGINS}::test_blur"),
+    ),
+    Mutant(
+        id="colour-columns-in-bytes",
+        path=AUGMENT,
+        old="return b0 // 3, (b1 + 2) // 3",
+        new="return b0, b1",
+        tests=(f"{BLACK_MARGINS}::test_adjust_color",),
+    ),
+    Mutant(
+        id="blur-columns-without-context-rows",
+        path=AUGMENT,
+        old="p0, p1 = _nonblack_span(img[max(r0 - ry - 1, 0) : r1 + ry])",
+        new="p0, p1 = _nonblack_span(img[r0:r1])",
+        tests=(f"{BLACK_MARGINS}::test_blur",),
+    ),
+    Mutant(
+        id="blur-columns-without-leaving-row",
+        path=AUGMENT,
+        old="p0, p1 = _nonblack_span(img[max(r0 - ry - 1, 0) : r1 + ry])",
+        new="p0, p1 = _nonblack_span(img[max(r0 - ry, 0) : r1 + ry])",
+        tests=(f"{BLACK_MARGINS}::test_blur",),
+    ),
+    Mutant(
+        id="blur-columns-not-widened-by-radius",
+        path=AUGMENT,
+        old="c0, c1 = max(p0 - rx, 0), min(p1 + rx, w)",
+        new="c0, c1 = p0, p1",
+        tests=(f"{BLACK_MARGINS}::test_blur",),
+    ),
+    Mutant(
+        id="rotation-columns-from-first-tap",
+        path=AUGMENT,
+        old="(fx >= -1.0) & (fx < w) & (fy >= -1.0) & (fy < h)",
+        new="(fx >= 0.0) & (fx < w) & (fy >= 0.0) & (fy < h)",
+        tests=(f"{BLACK_MARGINS}::test_rotation",),
+    ),
+    Mutant(
+        id="annotation-splits-on-separator-characters",
+        path=IO,
+        old='_CONTROL = re.compile(r"[\\x00-\\x08\\x0a-\\x1f\\x7f]")',
+        new='_CONTROL = re.compile(r"[\\x00-\\x08\\x0e-\\x1b\\x7f]")',
+        tests=("tests/test_io.py::test_annotation_control_characters_rejected",),
+    ),
+    Mutant(
+        id="noise-accepts-int-beyond-float",
+        path="detfuse/synth.py",
+        old="    except OverflowError:\n        return False\n",
+        new="    except OverflowError:\n        return True\n",
+        tests=("tests/test_synth.py::test_noise_model_rejects_non_finite_and_out_of_range",),
     ),
     Mutant(
         id="annotation-accepts-digit-separators",
