@@ -14,7 +14,7 @@ its input's bytes.
 
 The pixel kernels compute their output one band of rows at a time, each
 band at most 2**13 pixels (or one row of a wider image), so their float64
-and int64 temporaries stay a few MB whatever the image size; only the
+and integer temporaries stay a few MB whatever the image size; only the
 uint8 output spans the image. The mirror flips one band at a time too, so
 it can write into the array it reads and flip an image in place. The
 kernels are exact: every output byte has the value of its per-pixel
@@ -27,33 +27,35 @@ where the bands start:
   summed as ``((p00*w00 + p01*w01) + p10*w10) + p11*w11``;
 - color: ``colorsys``-style HSV with hue ``(h / 6) % 1.0``, ``q = v * (1 -
   s*f)`` and ``t = v * (1 - s*(1 - f))``, then ``x * 255``;
-- blur: exact integer window sum, then ``sum / count``; the vertical sums
-  run down the rows, adding the row that enters the window and subtracting
-  the one that leaves, so a band's work does not grow with the radius, and
-  one prefix sum per band turns them into horizontal window sums.
+- blur: exact integer window sum (int32 where it cannot overflow, else
+  int64), then ``sum / count``; the vertical sums run down the rows, adding
+  the row that enters the window and subtracting the one that leaves, so a
+  band's work does not grow with the radius, and one prefix sum per band
+  turns them into horizontal window sums.
 
 These orders are load-bearing: any other association changes some bytes.
 
 Rotation, color and blur map black to black: a rotation tap outside the
-source adds +0.0, color maps (0, 0, 0) to (0, 0, 0) at every positive
-finite saturation and exposure, and a window of zeros sums to 0. So each
-band computes only the columns that can hold a nonzero byte and writes
-zeros to the rest: for rotation, the columns where some tap of some row of
-the band lands in the source; for color, those from the band's first to
-its last non-black pixel; for blur, those within ``rx`` columns of a
-non-black pixel in the band's rows or the ``ry + 1`` rows above and ``ry``
-below. A band whose first and last columns both hold a non-black pixel
-skips the search. The skipped columns are the black corners an
-arbitrary-angle turn fills: 47.3% of the 30-degree canvas of a 640 x 480
-image, none of a right-angle one. Contrast maps 0 to ``clip(128 -
-128*f)`` and computes every column.
+source reads the black frame around the copy it gathers from, or has
+weight +0.0, and adds +0.0, color maps (0, 0, 0) to (0, 0, 0) at every positive finite
+saturation and exposure, and a window of zeros sums to 0. So each band
+computes only the columns that can hold a nonzero byte and writes zeros to
+the rest: for rotation, the columns where some tap of some row of the band
+lands in the source; for color, those from the band's first to its last
+non-black pixel; for blur, those within ``rx`` columns of a non-black pixel
+in the band's rows or the ``ry + 1`` rows above and ``ry`` below. A band
+whose first and last columns both hold a non-black pixel skips the search.
+The skipped columns are the black corners an arbitrary-angle turn fills:
+47.3% of the 30-degree canvas of a 640 x 480 image, none of a right-angle
+one. Contrast maps 0 to ``clip(128 - 128*f)`` and computes every column.
 
-Right-angle turns and horizontal flips permute pixels, and color, blur and
-contrast commute with them bit for bit: color and contrast act on each
-pixel alone, and the blur window is square, so a turned or flipped window
-has the same integer sum and the same in-bounds count (rows times
-columns). ``expand_dataset`` therefore colors and blurs each distinct
-canvas once and applies the turns and flips last.
+Right-angle turns (which move each pixel as one 3-byte item) and
+horizontal flips (one strided byte copy per channel) permute pixels, and
+color, blur and contrast commute with them bit for bit: color and contrast
+act on each pixel alone, and the blur window is square, so a turned or
+flipped window has the same integer sum and the same in-bounds count (rows
+times columns). ``expand_dataset`` therefore colors and blurs each
+distinct canvas once and applies the turns and flips last.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from .io import (
 _EXACT_TRIG = {0: (0.0, 1.0), 90: (1.0, 0.0), 180: (0.0, -1.0), 270: (-1.0, 0.0)}
 
 # pixels per band of rows that the pixel kernels compute at a time, so their
-# float64 and int64 temporaries stay a few MB whatever the image size
+# float64 and integer temporaries stay a few MB whatever the image size
 _BAND_PIXELS = 1 << 13
 
 # longest file name, in bytes, that common file systems hold
@@ -168,8 +170,12 @@ def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
     Each output value is ``floor(s + 0.5)`` for the float64 sum
     ``((p00*w00 + p01*w01) + p10*w10) + p11*w11`` over the taps (dy, dx) in
     that order, where ``wYX = wx * wy`` multiplies ``1 - tx`` or ``tx`` by
-    ``1 - ty`` or ``ty``. A tap outside the source has weight +0.0, so every
-    term is >= +0.0 and the sum equals one that starts from 0.0.
+    ``1 - ty`` or ``ty``. Positions are clipped to [-1, w] x [-1, h] and
+    the taps read a planar copy of the source in a black frame, one pixel
+    wide at the top and left, two at the bottom and right. A clipped axis
+    has fraction 0, so its far tap weighs +0.0 and its near tap reads the
+    frame: each tap outside adds +0.0, and as every term is >= +0.0 the sum
+    equals one that starts from 0.0.
     """
     h, w = img.shape[:2]
     cx, cy = w / 2.0, h / 2.0
@@ -180,7 +186,10 @@ def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
     # the same for every output row
     x_row = cx + u * cos
     y_row = cy - u * sin
-    planes = np.ascontiguousarray(np.moveaxis(img, -1, 0)).reshape(3, -1)
+    fw = w + 3  # framed width
+    planes = np.zeros((3, h + 3, fw), dtype=np.uint8)
+    planes[:, 1 : h + 1, 1 : w + 1] = np.moveaxis(img, -1, 0)
+    planes = planes.reshape(3, -1)
     out = np.empty((nh, nw, 3), dtype=np.uint8)
     for r0, r1 in _row_bands(nh, nw):
         v = vs[r0:r1, None]
@@ -191,29 +200,22 @@ def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
         # sum four +0.0 terms, so they are black
         c0, c1 = _span(((fx >= -1.0) & (fx < w) & (fy >= -1.0) & (fy < h)).any(axis=0))
         _clear_outside(out[r0:r1], c0, c1)
-        fx = fx[:, c0:c1]
-        fy = fy[:, c0:c1]
+        fx = np.clip(fx[:, c0:c1], -1.0, w)
+        fy = np.clip(fy[:, c0:c1], -1.0, h)
         x0 = np.floor(fx)
         y0 = np.floor(fy)
-        tx = fx - x0
-        ty = fy - y0
+        # flat index of each pixel's tap (0, 0) in the framed planes
+        base = ((y0 + 1.0) * fw + (x0 + 1.0)).astype(np.int64)
+        tx = np.subtract(fx, x0, out=x0)
+        ty = np.subtract(fy, y0, out=y0)
         wxs = (1.0 - tx, tx)
         wys = (1.0 - ty, ty)
-        x0 = x0.astype(np.int64)
-        y0 = y0.astype(np.int64)
         acc = np.empty((3, *fx.shape))
         weight = np.empty(fx.shape)
         flat = np.empty(fx.shape, dtype=np.int64)
         for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            xi = x0 + dx
-            yi = y0 + dy
-            # a negative index is a huge unsigned one, so one comparison per axis
-            valid = (xi.view(np.uint64) < w) & (yi.view(np.uint64) < h)
             np.multiply(wxs[dx], wys[dy], out=weight)
-            weight *= valid
-            np.multiply(yi, w, out=flat)
-            flat += xi
-            flat *= valid  # a tap outside gathers pixel 0, weighted +0.0
+            np.add(base, dy * fw + dx, out=flat)
             for c in range(3):
                 if dy == dx == 0:
                     np.multiply(planes[c].take(flat), weight, out=acc[c])
@@ -222,7 +224,9 @@ def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
         # the weights of a pixel sum to 1 within a few ulp: acc lies in [0, 255.5)
         acc += 0.5
         np.floor(acc, out=acc)
-        np.copyto(out[r0:r1, c0:c1], np.moveaxis(acc, 0, -1), casting="unsafe")
+        for c in range(3):
+            np.copyto(out[r0:r1, c0:c1, c], acc[c], casting="unsafe")
+        del x0, y0, tx, ty, base, wxs, wys, acc, weight, flat  # freed before the next band
     return out
 
 
@@ -246,9 +250,11 @@ def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
     exact = _EXACT_TRIG.get(angle)
     if exact is not None:
         sin, cos = exact
-        turned = np.rot90(img, -(int(angle) // 90))
+        # one 3-byte item per pixel, which needs its channels adjacent
+        items = (img if img.strides[-1] == 1 else img.copy()).view("V3")
+        turned = np.rot90(items, -(int(angle) // 90))
         # a turn copies; 0 degrees keeps a C-contiguous source's pixels
-        out_img = turned.copy() if angle else np.ascontiguousarray(turned)
+        out_img = (turned.copy() if angle else np.ascontiguousarray(turned)).view(np.uint8)
         nh, nw = out_img.shape[:2]
     else:
         rad = math.radians(angle)
@@ -286,7 +292,8 @@ def rotate_with_boxes(src: AnnotatedImage, angle: float) -> AnnotatedImage:
 def mirror_with_boxes(src: AnnotatedImage, in_place: bool = False) -> AnnotatedImage:
     """Horizontal flip; box (x1, y1, x2, y2) becomes (W-x2, y1, W-x1, y2).
 
-    The flipped pixels go to a new array, or with ``in_place`` into
+    Each band of rows is copied and each channel of the copy written in
+    reverse column order, into a new array or, with ``in_place``, into
     ``src.image`` itself, which must then be C-contiguous and writeable
     (``ContractError`` otherwise). Either way the only full-size array is
     the output.
@@ -301,18 +308,10 @@ def mirror_with_boxes(src: AnnotatedImage, in_place: bool = False) -> AnnotatedI
         raise ContractError("an image flipped in place must be C-contiguous and writeable")
     h, w = img.shape[:2]
     wpx = float(w)
-    # reversing each row's bytes reverses the pixels and their channel order;
-    # swapping channels 0 and 2 back costs less than a strided pixel copy.
-    # Done one band of rows at a time, it needs no full-size temporary: in
-    # place, numpy buffers each overlapping band before writing
-    rows_in = img.reshape(h, w * 3)
-    rows_out = out.reshape(h, w * 3)
     for r0, r1 in _row_bands(h, w):
-        rows_out[r0:r1] = rows_in[r0:r1, ::-1]
-        band = out[r0:r1]
-        red = band[..., 2].copy()
-        band[..., 2] = band[..., 0]
-        band[..., 0] = red
+        band = img[r0:r1].copy()  # in place, spares numpy a buffer per channel
+        for c in range(3):
+            out[r0:r1, :, c] = band[:, ::-1, c]
     anns = [
         GroundTruthRecord(
             a.image_id, a.class_id, Box(wpx - a.box.x2, a.box.y1, wpx - a.box.x1, a.box.y2)
@@ -361,7 +360,7 @@ def adjust_color(img: np.ndarray, saturation: float = 1.0, exposure: float = 1.0
 def _adjust_color_band(img: np.ndarray, saturation: float, exposure: float,
                        out: np.ndarray) -> None:
     """``adjust_color`` of one band of rows, written into ``out``."""
-    r, g, b = np.ascontiguousarray(np.moveaxis(img, -1, 0)) / 255.0
+    r, g, b = (img[..., c] / 255.0 for c in range(3))
     maxc = np.maximum(np.maximum(r, g), b)
     delta = maxc - np.minimum(np.minimum(r, g), b)
     s = delta / (maxc + (maxc == 0))  # 0 for black
@@ -369,13 +368,11 @@ def _adjust_color_band(img: np.ndarray, saturation: float, exposure: float,
     rc = (maxc - r) / safe
     gc = (maxc - g) / safe
     bc = (maxc - b) / safe
-    # Hue branch by priority red, green, blue maximum, the lowest written
-    # first; where two channels tie for the maximum both branches give the
-    # same hue. A gray pixel takes the red branch, whose bc - gc is +0.0.
-    h = 4.0 + gc
-    h -= rc
-    np.copyto(h, (2.0 + rc) - bc, where=g == maxc)
-    np.copyto(h, bc - gc, where=r == maxc)
+    # Hue branch by priority red, green, blue maximum; where two channels
+    # tie for the maximum both branches give the same hue. A gray pixel
+    # takes the red branch, whose bc - gc is +0.0.
+    h = np.where(r == maxc, bc - gc,
+                 np.where(g == maxc, (2.0 + rc) - bc, (4.0 + gc) - rc))
     # (h / 6) % 1.0, exactly, for h / 6 in [-1/6, 1)
     h /= 6.0
     h += h < 0
@@ -406,7 +403,8 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
     """Box blur averaging the (2r+1)^2 window, normalized by in-bounds count.
 
     Each output byte is ``floor(sum / count + 0.5)`` in float64, where the
-    window sum is an exact int64.
+    window sum is an exact integer: int32 when every running and prefix sum
+    fits, int64 otherwise.
     """
     check_image(img)
     if not (isinstance(radius, numbers.Integral) and radius >= 0):
@@ -421,9 +419,11 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
         return np.minimum(i + r + 1, n) - np.maximum(i - r, 0)
 
     row_counts, col_counts = counts(h, ry), counts(w, rx)
+    # bounds each running vertical sum (2ry + 2 rows) and prefix sum (w of those)
+    acc = np.int32 if 255 * (2 * ry + 1) * (w + 2 * rx + 1) < 2**31 else np.int64
     # the sum of rows y - ry to y + ry, carried down the rows from y = -1,
     # whose window holds rows 0 to ry - 1
-    vertical = img[:ry].sum(axis=0, dtype=np.int64)
+    vertical = img[:ry].sum(axis=0, dtype=acc)
     out = np.empty(img.shape, dtype=np.uint8)
     for r0, r1 in _row_bands(h, w):
         # the rows that enter, leave or lie in the windows of the band are
@@ -438,7 +438,7 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
         # c0 to c1, padded with rx + 1 zero columns before and rx copies of
         # the total after: column c0 + x's window sum is
         # c[:, x + 2rx + 1] - c[:, x]
-        c = np.empty((r1 - r0, n + 2 * rx + 1, 3), dtype=np.int64)
+        c = np.empty((r1 - r0, n + 2 * rx + 1, 3), dtype=acc)
         c[:, : rx + 1] = 0
         rows = c[:, rx + 1 : rx + 1 + n]
         changing, window, pixels = vertical[p0:p1], vertical[c0:c1], img[:, p0:p1]

@@ -32,7 +32,9 @@ for a field separator and ``float`` would strip. A
 manifest lists ``image_path annotation_path`` pairs, resolved relative to
 the manifest's directory; ``load_ground_truth`` requires the image stems of
 one manifest to be distinct. Images are binary PPM (P6, maxval 255, width
-and height at least 1, ``#`` comments in the header). ``check_image`` holds
+and height at least 1, ``#`` comments in the header); a header number is
+an ASCII decimal integer, which may carry a sign and leading zeros, and a
+token holding ``_`` (``1_0``) raises ParseError. ``check_image`` holds
 ``write_ppm`` and the transforms of ``detfuse.augment`` to (h, w, 3) uint8
 arrays with h, w >= 1, so every image written reads back.
 
@@ -307,6 +309,8 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
     for token in header.groups():  # an empty token means the file ended
         if not token:
             raise ParseError(f"{path}: truncated PPM header")
+        if b"_" in token:  # int() takes a digit separator
+            raise ParseError(f"{path}: bad PPM header token: {token!r}")
         try:
             tokens.append(int(token))
         except ValueError as e:

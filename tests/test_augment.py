@@ -44,6 +44,16 @@ def ann(box, class_id=0, image_id="im"):
     return GroundTruthRecord(image_id, class_id, Box(*box))
 
 
+# images whose pixels are not C-contiguous 3-byte runs: channels reversed
+# (last stride -1), every other column (rows strided, channels adjacent)
+# and Fortran order (channels a plane apart)
+non_contiguous_layouts = pytest.mark.parametrize(
+    "layout",
+    [lambda img: img[..., ::-1], lambda img: img[:, ::2], np.asfortranarray],
+    ids=["channels-reversed", "columns-strided", "fortran-order"],
+)
+
+
 class TestRotation:
     def test_zero_is_identity(self):
         rng = np.random.default_rng(0)
@@ -81,6 +91,16 @@ class TestRotation:
         out = rotate_with_boxes(AnnotatedImage(img), angle).image
         assert out.flags.c_contiguous and not np.shares_memory(out, img)
         assert np.array_equal(out, np.rot90(img, -(angle // 90)))
+
+    @non_contiguous_layouts
+    @pytest.mark.parametrize("angle", [0, 90, 180, 270])
+    def test_right_angle_turn_of_non_contiguous_pixels(self, layout, angle):
+        img = layout(rand_image(np.random.default_rng(5), 8, 5))
+        before = img.copy()
+        out = rotate_with_boxes(AnnotatedImage(img), angle).image
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, np.rot90(before, -(angle // 90)))
+        assert np.array_equal(img, before)
 
     def test_zero_turn_keeps_contiguous_pixels(self):
         img = rand_image(np.random.default_rng(5), 6, 4)
@@ -194,6 +214,18 @@ class TestMirror:
             mirror_with_boxes(AnnotatedImage(out), in_place=True)
         assert np.array_equal(out, before)
 
+    @non_contiguous_layouts
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_non_contiguous_pixels(self, monkeypatch, layout, rows):
+        img = layout(rand_image(np.random.default_rng(35), 8, 5))
+        before = img.copy()
+        _set_band_rows(monkeypatch, rows, img.shape[1])
+        out = mirror_with_boxes(AnnotatedImage(img)).image
+        assert out.flags.c_contiguous and np.array_equal(out, before[:, ::-1])
+        with pytest.raises(ContractError):  # in place takes only C-contiguous pixels
+            mirror_with_boxes(AnnotatedImage(img), in_place=True)
+        assert np.array_equal(img, before)
+
     def test_strided_source_cannot_be_flipped_in_place(self):
         img = rand_image(np.random.default_rng(36), 10, 4)[:, ::2]
         before = img.copy()
@@ -300,6 +332,14 @@ class TestBlurContrast:
         # more rows than a uint8 holds: row indices must not wrap
         img = rand_image(np.random.default_rng(8), 2, 300)
         assert np.array_equal(blur(img, radius), blur(img, int(radius)))
+
+    def test_blur_window_sums_past_int32(self):
+        # every window holds the whole image, whose sum 255 * h * w passes
+        # 2**31 - 1, so the running and prefix sums need int64
+        side = 2902
+        assert 255 * side * side >= 2**31
+        img = np.full((side, side, 3), 255, np.uint8)
+        assert (blur(img, side) == 255).all()
 
     @pytest.mark.parametrize("kernel", [
         lambda img: adjust_color(img, 1.0, 1.0),
@@ -759,7 +799,9 @@ def test_expand_working_set_is_two_canvases(tmp_path):
     # each was released there but the mirror copied every variant and the
     # source lived to the image's end, 2.75 when owned arrays are flipped in
     # place, the source is released after its last canvas and the bands hold
-    # 2**13 pixels, 2.72 when the kernels skip the black columns
+    # 2**13 pixels, 2.72 when the kernels skip the black columns, 2.56 when
+    # the resampler clips positions instead of masking taps and frees each
+    # band's arrays before the next band's
     rng = np.random.default_rng(32)
     entries = []
     for i in range(2):

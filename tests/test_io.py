@@ -476,9 +476,12 @@ def test_ppm_with_comments(tmp_path):
     [(b"P6\r2\v1\f255\n", (1, 2, 3)), (b"P6\t2\r\n1 255\r", (1, 2, 3)),
      (b"P62 1 255 ", (1, 2, 3)), (b"P6 2#c\n1 255\n", "bad PPM header token"),
      (b"P6 #c\r9 9\n2 1 255\n", (1, 2, 3)), (b"P6 2 1 # no newline", "truncated"),
-     (b"P6 2\n#\n#c 9\n1 255\n", (1, 2, 3)), (b"P6 +2 01 255\n", (1, 2, 3))],
+     (b"P6 2\n#\n#c 9\n1 255\n", (1, 2, 3)), (b"P6 +2 01 255\n", (1, 2, 3)),
+     (b"P6\n1_0 1\n2_55\n", "bad PPM header token"),
+     (b"P6 2 1 25_5\n", "bad PPM header token"), (b"P6 _2 1 255\n", "bad PPM header token")],
     ids=["cr-vt-ff", "tab-crlf", "no-space-after-magic", "comment-inside-token",
-         "comment-to-newline-only", "comment-at-end", "comment-lines", "signs-and-zeros"],
+         "comment-to-newline-only", "comment-at-end", "comment-lines", "signs-and-zeros",
+         "digit-separators", "separator-in-maxval", "leading-underscore"],
 )
 def test_ppm_header_tokens(tmp_path, header, outcome):
     path = tmp_path / "h.ppm"
@@ -544,7 +547,8 @@ def test_ppm_nonpositive_dimensions(tmp_path, dims):
 
 ppm_tokens = st.one_of(
     st.integers(-2, 4).map(str),
-    st.sampled_from(["-0", "+2", "00", "256", "65535", "1" + "0" * 30, "9" * 5000, "1.5", "x", "\u0663"]),
+    st.sampled_from(["-0", "+2", "00", "256", "65535", "1" + "0" * 30, "9" * 5000, "1.5", "x", "\u0663",
+                     "1_0", "2_55", "_1", "1_"]),
 )
 ppm_separators = st.sampled_from([b" ", b"\n", b"\t", b"\n# comment\n", b"#", b""])
 

@@ -76,8 +76,8 @@ MUTANTS = (
     Mutant(
         id="right-angle-turn-as-view",
         path=AUGMENT,
-        old="out_img = turned.copy() if angle else np.ascontiguousarray(turned)",
-        new="out_img = np.ascontiguousarray(turned)",
+        old="out_img = (turned.copy() if angle else np.ascontiguousarray(turned)).view(np.uint8)",
+        new="out_img = np.ascontiguousarray(turned).view(np.uint8)",
         tests=(
             f"{EXPAND_EQUIVALENCE}::test_in_place_flips_match_per_variant_composition"
             "[one-row-or-column]",
@@ -101,10 +101,10 @@ MUTANTS = (
         tests=("tests/test_augment.py::test_expand_working_set_is_two_canvases",),
     ),
     Mutant(
-        id="in-place-mirror-without-channel-swap",
+        id="in-place-mirror-reverses-channels",
         path=AUGMENT,
-        old="        band = out[r0:r1]\n",
-        new="        if out is img:\n            continue\n        band = out[r0:r1]\n",
+        old="out[r0:r1, :, c] = band[:, ::-1, c]",
+        new="out[r0:r1, :, c] = band[:, ::-1, 2 - c if in_place else c]",
         tests=(
             "tests/test_augment.py::TestMirror::test_in_place_equals_flipping_a_copy",
             "tests/test_augment.py::TestMirror::test_bands",
@@ -401,6 +401,52 @@ MUTANTS = (
         old="    except OverflowError:\n        return False\n",
         new="    except OverflowError:\n        return True\n",
         tests=("tests/test_synth.py::test_noise_model_rejects_non_finite_and_out_of_range",),
+    ),
+    Mutant(
+        id="pixel-items-of-any-layout",
+        path=AUGMENT,
+        old='items = (img if img.strides[-1] == 1 else img.copy()).view("V3")',
+        new='items = img.view("V3")',
+        tests=("tests/test_augment.py::TestRotation"
+               "::test_right_angle_turn_of_non_contiguous_pixels",),
+    ),
+    Mutant(
+        id="position-clip-inside-right-edge",
+        path=AUGMENT,
+        old="fx = np.clip(fx[:, c0:c1], -1.0, w)",
+        new="fx = np.clip(fx[:, c0:c1], -1.0, w - 1)",
+        tests=("tests/test_augment.py::TestKernelsMatchReference::test_rotation",
+               "tests/test_augment.py::TestRowBands::test_rotation"),
+    ),
+    Mutant(
+        id="position-clip-inside-top-edge",
+        path=AUGMENT,
+        old="fy = np.clip(fy[:, c0:c1], -1.0, h)",
+        new="fy = np.clip(fy[:, c0:c1], 0.0, h)",
+        tests=("tests/test_augment.py::TestKernelsMatchReference::test_rotation",
+               "tests/test_augment.py::TestRowBands::test_rotation"),
+    ),
+    Mutant(
+        id="frame-one-row-at-the-bottom",
+        path=AUGMENT,
+        old="planes = np.zeros((3, h + 3, fw), dtype=np.uint8)",
+        new="planes = np.zeros((3, h + 2, fw), dtype=np.uint8)",
+        tests=("tests/test_augment.py::TestKernelsMatchReference::test_rotation",
+               "tests/test_augment.py::TestRowBands::test_rotation"),
+    ),
+    Mutant(
+        id="blur-accumulator-always-int32",
+        path=AUGMENT,
+        old="acc = np.int32 if 255 * (2 * ry + 1) * (w + 2 * rx + 1) < 2**31 else np.int64",
+        new="acc = np.int32",
+        tests=("tests/test_augment.py::TestBlurContrast::test_blur_window_sums_past_int32",),
+    ),
+    Mutant(
+        id="ppm-header-accepts-digit-separators",
+        path=IO,
+        old='if b"_" in token:',
+        new='if b"_" in token[:0]:',
+        tests=("tests/test_io.py::test_ppm_header_tokens",),
     ),
     Mutant(
         id="annotation-accepts-digit-separators",
