@@ -19,8 +19,8 @@ uint8 output spans the image. The mirror flips one band at a time too, so
 it can write into the array it reads and flip an image in place. The
 kernels are exact: every output byte has the value of its per-pixel
 float64 formula, evaluated in this order (each result rounded half up,
-``floor(x + 0.5)``), and the bytes depend neither on the band size nor on
-where the bands start:
+``floor(x + 0.5)``, and stored by ``_round_into``), and the bytes depend
+neither on the band size nor on where the bands start:
 
 - bilinear rotation: source position ``(cx + u*cos) + v*sin - 0.5`` and
   ``(cy - u*sin) + v*cos - 0.5``; tap weight ``wx * wy``; the four taps
@@ -64,7 +64,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -77,6 +76,7 @@ from .io import (
     check_image,
     image_id_from_path,
     load_annotations,
+    outputs_or_none,
     read_manifest,
     read_ppm,
     save_annotations,
@@ -163,6 +163,14 @@ def _clear_outside(band: np.ndarray, c0: int, c1: int) -> None:
     band[:, c1:] = 0
 
 
+def _round_into(out: np.ndarray, x: np.ndarray) -> None:
+    """Store ``floor(x + 0.5)`` into the uint8 ``out``, rounding the float64
+    ``x`` in place; ``x`` must lie in [-0.5, 255.5)."""
+    x += 0.5
+    np.floor(x, out=x)
+    np.copyto(out, x, casting="unsafe")
+
+
 def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
                              nw: int, nh: int) -> np.ndarray:
     """Inverse-map bilinear resampling with black outside the source.
@@ -222,10 +230,8 @@ def _rotate_pixels_arbitrary(img: np.ndarray, sin: float, cos: float,
                 else:
                     acc[c] += planes[c].take(flat) * weight
         # the weights of a pixel sum to 1 within a few ulp: acc lies in [0, 255.5)
-        acc += 0.5
-        np.floor(acc, out=acc)
         for c in range(3):
-            np.copyto(out[r0:r1, c0:c1, c], acc[c], casting="unsafe")
+            _round_into(out[r0:r1, c0:c1, c], acc[c])
         del x0, y0, tx, ty, base, wxs, wys, acc, weight, flat  # freed before the next band
     return out
 
@@ -321,12 +327,10 @@ def mirror_with_boxes(src: AnnotatedImage, in_place: bool = False) -> AnnotatedI
     return AnnotatedImage(out, anns)
 
 
-def _to_uint8(x: np.ndarray) -> np.ndarray:
-    """``floor(x * 255 + 0.5)`` as uint8 for x in [0, 1], computed in place."""
+def _to_uint8(out: np.ndarray, x: np.ndarray) -> None:
+    """Store ``floor(x * 255 + 0.5)`` in ``out`` for x in [0, 1], in place."""
     x *= 255.0
-    x += 0.5
-    np.floor(x, out=x)
-    return x.astype(np.uint8)
+    _round_into(out, x)
 
 
 # per hue sector 0..5, the index of each output channel's value in (v, p, q, t)
@@ -388,10 +392,10 @@ def _adjust_color_band(img: np.ndarray, saturation: float, exposure: float,
     sector = i.astype(np.uint32)  # below 6 for every 8-bit colour
     # v, p, q and t lie in [0, 1]
     vpqt = np.empty((*img.shape[:2], 4), dtype=np.uint8)
-    vpqt[..., 1] = _to_uint8(v * (1.0 - s))
-    vpqt[..., 2] = _to_uint8(v * (1.0 - s * f))
-    vpqt[..., 3] = _to_uint8(v * (1.0 - s * (1.0 - f)))
-    vpqt[..., 0] = _to_uint8(v)
+    _to_uint8(vpqt[..., 1], v * (1.0 - s))
+    _to_uint8(vpqt[..., 2], v * (1.0 - s * f))
+    _to_uint8(vpqt[..., 3], v * (1.0 - s * (1.0 - f)))
+    _to_uint8(vpqt[..., 0], v)
     # one little-endian word per pixel holds the bytes v, p, q, t; each
     # channel shifts its sector's byte down
     words = vpqt.view("<u4")[..., 0]
@@ -454,9 +458,7 @@ def blur(img: np.ndarray, radius: int) -> np.ndarray:
         mean = sums / (row_counts[r0:r1, None]
                        * col_counts[c0:c1]).astype(np.float64)[..., None]
         # sum <= 255 * count, so the mean lies in [0, 255] and needs no clip
-        mean += 0.5
-        np.floor(mean, out=mean)
-        np.copyto(out[r0:r1, c0:c1], mean, casting="unsafe")
+        _round_into(out[r0:r1, c0:c1], mean)
     return out
 
 
@@ -468,7 +470,9 @@ def contrast(img: np.ndarray, factor: float) -> np.ndarray:
     out = np.empty(img.shape, dtype=np.uint8)
     for r0, r1 in _row_bands(*img.shape[:2]):
         band = (img[r0:r1].astype(np.float64) - 128.0) * factor + 128.0
-        np.copyto(out[r0:r1], np.clip(np.floor(band + 0.5), 0, 255), casting="unsafe")
+        # rounds to the bytes of floor(band + 0.5) clipped to [0, 255]
+        np.clip(band, -0.5, 255.0, out=band)
+        _round_into(out[r0:r1], band)
     return out
 
 
@@ -522,11 +526,17 @@ def _expand_canvas(held: list[AnnotatedImage], resample: float | None, last: boo
     the boxes written.
 
     ``prefix`` is the output directory joined with the image stem, which the
-    variant names extend. At the ``last`` canvas the source is popped from
-    ``held``, so it is released once that canvas is computed (the source
-    canvas itself lives on to its last color). The canvas is released after
-    its last color, a colored array after its last blur radius and a blurred
-    one after its last turn, which flips it in place.
+    variant names extend. Each turn turns the blurred array by its right
+    angle (``None``: the canvas is rotated already), then writes it and its
+    mirror at every contrast factor. At the ``last`` canvas the source is
+    popped from ``held``, so it is released once that canvas is computed
+    (the source canvas itself lives on to its last color). The canvas is
+    released after its last color, a colored array after its last blur
+    radius, a blurred one after its last turn, the turned and mirrored
+    pixels at the end of their turn and a contrast-scaled copy once it is
+    written. The mirror flips in place the pixels that nothing reads
+    afterwards, the copy a turn other than 0 degrees makes or a blurred
+    array at its last turn, and others into a new array.
     """
     src = held.pop() if last else held[0]
     canvas = src if resample is None else rotate_with_boxes(src, resample)
@@ -544,39 +554,23 @@ def _expand_canvas(held: list[AnnotatedImage], resample: float | None, last: boo
             if j == len(axes.radii) - 1:
                 del colored
             for k, (rot, turn) in enumerate(turns):
-                name_of = partial(_variant_name, prefix, rot, sat, exp, radius=radius)
-                # a blurred array is this loop's own, and dead after its last turn
-                owned = radius > 0 and k == len(turns) - 1
-                emitted += _write_turn(AnnotatedImage(blurred, boxes), turn, axes, name_of, owned)
+                variant = AnnotatedImage(blurred, boxes)
+                if turn is not None:
+                    variant = rotate_with_boxes(variant, turn)
+                # a right-angle turn copies, and a blurred array is this
+                # loop's own and dead after its last turn
+                owned = bool(turn) or (radius > 0 and k == len(turns) - 1)
+                for mirrored in axes.mirrors:
+                    if mirrored:  # the unmirrored variant's files are written by now
+                        variant = mirror_with_boxes(variant, owned)
+                    for cfac in axes.cfacs:
+                        base = _variant_name(prefix, rot, sat, exp, mirrored, radius, cfac)
+                        write_ppm(base + ".ppm",
+                                  variant.image if cfac == 1.0 else contrast(variant.image, cfac))
+                        save_annotations(base + ".txt", variant.annotations)
+                        emitted += len(variant.annotations)
+                del variant
             del blurred
-    return emitted
-
-
-def _write_turn(variant: AnnotatedImage, turn: float | None, axes: _Axes, name_of,
-                owned: bool) -> int:
-    """Turn a colored and blurred canvas by its right angle (``None``: it is
-    rotated already), then write it and its mirror at every contrast factor
-    to the paths ``name_of(mirrored, cfac=...)``; returns the boxes written.
-
-    ``owned`` says that nothing reads ``variant.image`` after this call, as
-    holds for the copy that a turn other than 0 degrees makes. The mirror
-    flips owned pixels in place and others into a new array. The mirror is
-    released when this returns, and each contrast-scaled copy once it is
-    written.
-    """
-    if turn is not None:
-        variant = rotate_with_boxes(variant, turn)
-        owned = owned or turn != 0  # a right-angle turn returns a copy
-    emitted = 0
-    for mirrored in axes.mirrors:
-        if mirrored:  # the unmirrored variant's files are written by now
-            variant = mirror_with_boxes(variant, owned)
-        for cfac in axes.cfacs:
-            base = name_of(mirrored, cfac=cfac)
-            write_ppm(base + ".ppm",
-                      variant.image if cfac == 1.0 else contrast(variant.image, cfac))
-            save_annotations(base + ".txt", variant.annotations)
-            emitted += len(variant.annotations)
     return emitted
 
 
@@ -595,14 +589,16 @@ def expand_dataset(
     file is written, so a collision (two angles that round alike, or one
     stem in two manifest directories) or a name longer than 255 bytes raises
     ``ContractError`` and leaves no derived file.
-    Unreadable inputs are recorded and skipped. Alongside the derived images
-    and annotation files the output directory receives ``manifest.txt`` and
-    a ``provenance.txt`` mapping each derived image to its source; these two
-    are written atomically, once every derived file exists. Both list
-    absolute paths, so the manifest reads the same from any working
-    directory; an ``out_dir`` or a resolved source image path that contains
-    whitespace, which would split a manifest or provenance line into more
-    than two fields, raises ``ContractError`` before anything is written.
+    Unreadable inputs are recorded and skipped. The derived images and
+    annotation files are written in place; once they all exist, the output
+    directory receives ``manifest.txt`` and a ``provenance.txt`` mapping
+    each derived image to its source, as one group: each is moved into
+    place whole, and if either write fails each is left as it was or
+    absent. Both list absolute paths, so the manifest reads the same from
+    any working directory; an ``out_dir`` or a resolved source image path
+    that contains whitespace, which would split a manifest or provenance
+    line into more than two fields, raises ``ContractError`` before
+    anything is written.
 
     ``manifest.txt`` and ``provenance.txt`` list the variants in the planned
     order rotation, saturation, exposure, mirror, blur radius, contrast. The
@@ -612,24 +608,16 @@ def expand_dataset(
     one blur per radius on top of that; only then is the result turned by
     its right angle (``rot90``), mirrored and contrast-scaled. Identity
     settings (saturation and exposure 1, radius 0, contrast 1, angle 0) pass
-    the pixels on without a copy. A right-angle turn and a flip permute
-    pixels, color and contrast act on each pixel alone, and a square blur
-    window maps onto one with the same integer sum and in-bounds count, so
-    every derived byte equals the per-variant composition rotate, mirror,
-    color, blur, contrast.
+    the pixels on without a copy. As turns and flips commute with color,
+    blur and contrast (see the module docstring), every derived byte equals
+    the per-variant composition rotate, mirror, color, blur, contrast.
 
-    Each canvas-sized array is released at its last use: the source once
-    the last canvas resampled from it is computed (the source canvas comes
-    first), a canvas after its last color, a colored array after its last
-    blur radius, and a mirrored or contrast-scaled one once its files are
-    written. The mirror flips an array in place when nothing reads it later,
-    the copy a 90, 180 or 270 degree turn makes or a blurred array at its
-    last turn, and otherwise into a new array. So at most two arrays of a
-    canvas are alive at once, an input and the output of the stage at work,
-    plus the source while resampled canvases remain.
-    ``tests/test_augment.py::test_expand_working_set_is_two_canvases`` holds
-    the ``tracemalloc`` peak on the grid of the ``augment-grid`` benchmark to
-    3.0 arrays of its largest canvas.
+    ``_expand_canvas`` releases each canvas-sized array at its last use, so
+    at most two arrays of a canvas are alive at once, an input and the
+    output of the stage at work, plus the source while resampled canvases
+    remain. ``tests/test_augment.py::test_expand_working_set_is_two_canvases``
+    holds the ``tracemalloc`` peak on the ``augment-grid`` grid to 3.0
+    arrays of its largest canvas.
     """
     sources = read_manifest(manifest_path)
     out_dir = os.path.abspath(out_dir)
@@ -693,9 +681,11 @@ def expand_dataset(
             entries.append((img_out, os.path.join(out_dir, name + ".txt")))
             provenance.append((img_out, image_path))
     manifest_out = os.path.join(out_dir, "manifest.txt")
-    write_manifest(manifest_out, entries)
     provenance_out = os.path.join(out_dir, "provenance.txt")
-    write_manifest(provenance_out, provenance)  # "derived source" lines
+    with outputs_or_none() as done:  # provenance lines are "derived source"
+        for path, pairs in ((manifest_out, entries), (provenance_out, provenance)):
+            write_manifest(path, pairs)
+            done.append(path)
     return ExpansionResult(
         manifest_path=manifest_out,
         provenance_path=provenance_out,

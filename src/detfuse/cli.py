@@ -7,17 +7,20 @@ violation.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import sys
 from collections import defaultdict
-from typing import Iterator
 
 from .augment import AugmentSpec, expand_dataset
 from .errors import ContractError, ParseError
 from .evaluation import EvaluationReport, evaluate_dataset
 from .fusion import PROB_MODES, PROB_SCALED_MAX, Detection, merge_boxes
-from .io import atomic_output, load_detections, load_ground_truth, save_detections
+from .io import (
+    atomic_output,
+    load_detections,
+    load_ground_truth,
+    outputs_or_none,
+    save_detections,
+)
 from .synth import NoiseModel, generate_ensemble
 
 EXIT_OK = 0
@@ -34,21 +37,6 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-@contextlib.contextmanager
-def _outputs_or_none() -> Iterator[list[str]]:
-    """Collect the paths of a command's outputs as each is moved into place;
-    if the block raises, remove them, so a failed command leaves each
-    output as it was or absent, never a mix of new and old files."""
-    done: list[str] = []
-    try:
-        yield done
-    except BaseException:
-        for path in done:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
@@ -106,7 +94,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate_dataset(preds, gts, args.iou_eval, args.n_blocks)
     outputs = [(args.out + ".txt", _format_report(report)),
                (args.out + ".tsv", _format_table(report))]
-    with _outputs_or_none() as done:
+    with outputs_or_none() as done:
         for path, text in outputs:
             with atomic_output(path) as f:
                 f.write(text)
@@ -145,7 +133,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     w, h = args.image_size
     sets = generate_ensemble(gts, noise, args.models, image_size=(w, h))
-    with _outputs_or_none() as done:
+    with outputs_or_none() as done:
         for i, dets in enumerate(sets):
             path = f"{args.out}.model{i}.jsonl"
             save_detections(path, dets)

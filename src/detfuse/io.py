@@ -26,9 +26,12 @@ the line (for text that is not UTF-8, the last line read before it).
 Annotation files carry one ``class_id x1 y1 x2 y2`` record per line. A
 line holding a non-ASCII character or ``_`` raises ParseError, so Python's
 digit separators (``1_0``) and non-ASCII digits are not read as numbers.
-So does an ASCII control character other than tab inside a record
-(``\x0b``, ``\x1c`` to ``\x1f``, ...), which ``str.split`` would take
-for a field separator and ``float`` would strip. A
+The check sees the line before its surrounding whitespace is stripped, so
+a record with a no-break, ideographic or other non-ASCII space at either
+end raises too. So does an ASCII control character other than tab inside
+a record (``\x0b``, ``\x1c`` to ``\x1f``, ...), which ``str.split``
+would take for a field separator and ``float`` would strip. In every file
+a line of whitespace alone is blank and skipped. A
 manifest lists ``image_path annotation_path`` pairs, resolved relative to
 the manifest's directory; ``load_ground_truth`` requires the image stems of
 one manifest to be distinct. Images are binary PPM (P6, maxval 255, width
@@ -41,6 +44,11 @@ arrays with h, w >= 1, so every image written reads back.
 Detection files, manifests and evaluation reports are written to a
 temporary file beside the target and moved into place when complete, so a
 failing writer leaves the previous file, or none, rather than a partial one.
+A command that writes several such outputs (``synth``, ``eval``, and
+``augment``'s manifest and provenance) writes them as one group in
+``outputs_or_none``: if one fails, those already moved into place are
+removed, so each output is left as it was or absent, never a new file
+beside an old one.
 """
 
 from __future__ import annotations
@@ -91,14 +99,29 @@ def atomic_output(path: str | os.PathLike) -> Iterator[TextIO]:
         raise
 
 
+@contextlib.contextmanager
+def outputs_or_none() -> Iterator[list[str]]:
+    """Collect the paths of a group of outputs as each is moved into place;
+    if the block raises, remove them, so a failed writer leaves each output
+    as it was or absent, never a mix of new and old files."""
+    done: list[str] = []
+    try:
+        yield done
+    except BaseException:
+        for path in done:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of each non-blank line of a UTF-8 file."""
+    """(line number, text) of each line of a UTF-8 file that holds more than
+    whitespace; the text keeps its surrounding whitespace and line end."""
     lineno = 0
     with open(path, "r", encoding="utf-8") as f:
         try:
             for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if line:
+                if not line.isspace():
                     yield lineno, line
         except UnicodeDecodeError as e:
             raise ParseError(f"{path}: invalid UTF-8 after line {lineno}: {e.reason}") from None
@@ -184,7 +207,7 @@ def load_detections(path: str | os.PathLike) -> list[Detection]:
     out: list[Detection] = []
     for lineno, line in _lines(path):
         try:
-            out.append(_record_to_detection(_json_value(line)))
+            out.append(_record_to_detection(_json_value(line.strip())))
         except (ValueError, OverflowError, RecursionError) as e:
             raise ParseError(f"{path}:{lineno}: bad detection record: {e}") from e
     return out
@@ -208,12 +231,14 @@ def load_annotations(path: str | os.PathLike, image_id: str) -> list[GroundTruth
     """Read an annotation file; see the module docstring for what it accepts."""
     out: list[GroundTruthRecord] = []
     for lineno, line in _lines(path):
-        # int() and float() also take digit separators and non-ASCII digits
+        # int() and float() also take digit separators and non-ASCII digits,
+        # and float() and strip() non-ASCII whitespace
         if "_" in line or not line.isascii():
             raise ParseError(
                 f"{path}:{lineno}: bad annotation record: only ASCII characters"
                 " and no '_' are allowed"
             )
+        line = line.strip()
         control = _CONTROL.search(line)
         if control:
             raise ParseError(
@@ -242,9 +267,9 @@ def read_manifest(path: str | os.PathLike) -> list[tuple[str, str]]:
     base = os.path.dirname(os.path.abspath(path))
     out: list[tuple[str, str]] = []
     for lineno, line in _lines(path):
-        if line.startswith("#"):
-            continue
         parts = line.split()
+        if parts[0].startswith("#"):
+            continue
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 2 paths, got {len(parts)}")
         out.append(tuple(p if os.path.isabs(p) else os.path.join(base, p) for p in parts))

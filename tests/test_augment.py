@@ -600,6 +600,13 @@ class TestKernelsMatchReference:
             reference_adjust_color(img, saturation, exposure),
         )
 
+    @pytest.mark.parametrize("factor", [0.5, 2.0, 127.5 / 127, 128.5 / 128, 1e-300, 1e300])
+    def test_contrast_byte_sweep(self, factor):
+        """Every byte value, at factors that put results on rounding ties
+        and on and past both clamp edges."""
+        img = np.repeat(np.arange(256, dtype=np.uint8)[None, :, None], 3, axis=2)
+        assert np.array_equal(contrast(img, factor), reference_contrast(img, factor))
+
     @pytest.mark.parametrize("angle", [1.0, 30.0, 45.0, 137.5, 200.0, 359.9])
     def test_rotation_full_size(self, angle):
         img = rand_image(np.random.default_rng(22), 64, 48)
@@ -794,14 +801,7 @@ def test_kernel_temporaries_are_band_sized():
 def test_expand_working_set_is_two_canvases(tmp_path):
     # tracemalloc peak of expand_dataset over two 640 x 480 images with the
     # augment-grid benchmark's grid, in bytes of its largest array, the
-    # 736 x 795 canvas of the 30-degree turn: 6.1 when loop variables held
-    # each image's, colour's and turn's arrays past their last use, 3.6 when
-    # each was released there but the mirror copied every variant and the
-    # source lived to the image's end, 2.75 when owned arrays are flipped in
-    # place, the source is released after its last canvas and the bands hold
-    # 2**13 pixels, 2.72 when the kernels skip the black columns, 2.56 when
-    # the resampler clips positions instead of masking taps and frees each
-    # band's arrays before the next band's
+    # 736 x 795 canvas of the 30-degree turn: 2.56
     rng = np.random.default_rng(32)
     entries = []
     for i in range(2):

@@ -1,3 +1,4 @@
+import errno
 import os
 
 import numpy as np
@@ -368,7 +369,9 @@ def test_eval_undecodable_annotation_exit_code(tmp_path, capsys):
     assert not (tmp_path / "report.txt").exists()
 
 
-@pytest.mark.parametrize("line", ["1_0 1_0.5 2.0 3e1_0 40", "\u0663 0 0 10 10"])
+@pytest.mark.parametrize("line", ["1_0 1_0.5 2.0 3e1_0 40", "\u0663 0 0 10 10",
+                                  "0 0 0 10 10\u00a0", "\x850 0 0 10 10",
+                                  "0 0 0 10 10\u2003", "\u30000 0 0 10 10"])
 @pytest.mark.parametrize("command", ["eval", "synth"])
 def test_python_only_annotation_numbers_exit_code(tmp_path, capsys, command, line):
     manifest = make_gts(tmp_path, [GroundTruthRecord("a", 0, Box(0, 0, 10, 10))])
@@ -451,6 +454,34 @@ def test_augment_relative_out_is_readable(tmp_path, monkeypatch):
     assert all(os.path.isabs(p) and os.path.isfile(p) for pair in entries for p in pair)
     assert main(["synth", "aug/manifest.txt", "--out", "dets"]) == EXIT_OK
     assert len(load_detections("dets.model0.jsonl")) == 2
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["first-run", "second-run"])
+def test_augment_failing_provenance_replace_leaves_the_group(tmp_path, monkeypatch, capsys,
+                                                            earlier):
+    manifest = _augment_manifest(tmp_path)
+    out_dir = tmp_path / "out"
+    if earlier:
+        assert main(["augment", manifest, "--out", str(out_dir)]) == EXIT_OK
+    group = [out_dir / "manifest.txt", out_dir / "provenance.txt"]
+    before = [path.read_bytes() if path.exists() else None for path in group]
+
+    def replace(src, dst, _replace=os.replace):
+        if os.path.basename(dst) == "provenance.txt":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        _replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    argv = ["augment", manifest, "--rotations", "0,90", "--out", str(out_dir)]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "Traceback" not in err
+    assert not [name for name in os.listdir(out_dir) if name.endswith(".tmp")]
+    after = [path.read_bytes() if path.exists() else None for path in group]
+    # the manifest of this run is removed rather than left beside the
+    # provenance of the earlier one
+    assert after[1] == before[1]
+    assert after[0] in (None, before[0])
 
 
 def test_augment_whitespace_out_leaves_no_file(tmp_path, monkeypatch, capsys):

@@ -367,9 +367,11 @@ def test_annotation_bad_field_count(tmp_path):
 @pytest.mark.parametrize(
     "line",
     ["1_0 1_0.5 2.0 3e1_0 40", "0 1 2 3 4_0", "\u0663 1 2 3 4", "0 1 2 3 \uff14",
-     "0\u30001 2 3 4", "0 1 2 3 4 \u00b2"],
+     "0\u30001 2 3 4", "0 1 2 3 4 \u00b2", "0 1 2 3 4\u00a0", "\x850 1 2 3 4",
+     "0 1 2 3 4\u2003", "\u30000 1 2 3 4"],
     ids=["separators", "separator-last", "arabic-indic", "fullwidth", "ideographic-space",
-         "superscript"],
+         "superscript", "trailing-no-break-space", "leading-next-line", "trailing-em-space",
+         "leading-ideographic-space"],
 )
 def test_annotation_python_only_number_forms_rejected(tmp_path, line):
     path = tmp_path / "ann.txt"
@@ -397,6 +399,25 @@ def test_annotation_tab_separates_fields(tmp_path):
     path = tmp_path / "ann.txt"
     path.write_text("0\t1 2\t3 4\r\n", encoding="ascii")
     assert load_annotations(path, "pic") == [GroundTruthRecord("pic", 0, Box(1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\x85", "\u2003", "\u3000", "\x0b", "\x1c"],
+                         ids=["no-break", "next-line", "em", "ideographic", "vertical-tab",
+                              "file-separator"])
+def test_other_files_strip_any_whitespace_at_line_edges(tmp_path, space):
+    # detection and manifest lines lose every str.strip() whitespace at
+    # their edges, and a line of whitespace alone is blank in every file
+    dets = tmp_path / "dets.jsonl"
+    save_detections(dets, sample_detections())
+    lines = dets.read_text().splitlines()
+    dets.write_text("".join(f"{space}{line}{space}\n{space}\n" for line in lines))
+    assert load_detections(dets) == sample_detections()
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{space}a.ppm a.txt{space}\n{space}# comment\n{space}\n")
+    assert read_manifest(manifest) == [(str(tmp_path / "a.ppm"), str(tmp_path / "a.txt"))]
+    ann = tmp_path / "ann.txt"
+    ann.write_text(f"0 1 2 3 4\n{space}\n")
+    assert load_annotations(ann, "pic") == [GroundTruthRecord("pic", 0, Box(1, 2, 3, 4))]
 
 
 def test_manifest_resolves_relative_paths(tmp_path):

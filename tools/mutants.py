@@ -50,6 +50,7 @@ LOSS = "detfuse/yolo_loss.py"
 EVALUATION = "detfuse/evaluation.py"
 EXPAND_EQUIVALENCE = "tests/test_augment.py::TestExpandEquivalence"
 BLACK_MARGINS = "tests/test_augment.py::TestBlackMargins"
+KERNELS_MATCH_REFERENCE = "tests/test_augment.py::TestKernelsMatchReference"
 EVALUATE_DATASET = "tests/test_evaluation.py::TestEvaluateDataset"
 MATCHING_EDGES = "tests/test_evaluation.py::TestMatchingEdges"
 JSON_EQUALS_LOADS = "tests/test_io.py::test_json_value_equals_json_loads"
@@ -58,8 +59,8 @@ MUTANTS = (
     Mutant(
         id="flip-shared-last-turn",
         path=AUGMENT,
-        old="owned = radius > 0 and k == len(turns) - 1",
-        new="owned = k == len(turns) - 1",
+        old="owned = bool(turn) or (radius > 0 and k == len(turns) - 1)",
+        new="owned = bool(turn) or k == len(turns) - 1",
         tests=(
             f"{EXPAND_EQUIVALENCE}::test_in_place_flips_match_per_variant_composition"
             "[zero-turn-last]",
@@ -69,7 +70,7 @@ MUTANTS = (
     Mutant(
         id="flip-every-variant",
         path=AUGMENT,
-        old="owned = radius > 0 and k == len(turns) - 1",
+        old="owned = bool(turn) or (radius > 0 and k == len(turns) - 1)",
         new="owned = True",
         tests=(f"{EXPAND_EQUIVALENCE}::test_matches_per_variant_composition",),
     ),
@@ -166,8 +167,8 @@ MUTANTS = (
     Mutant(
         id="mirror-bound-as-default-argument",
         path=AUGMENT,
-        old="                owned: bool) -> int:",
-        new="                owned: bool, mirror_with_boxes=mirror_with_boxes) -> int:",
+        old="turns: list, axes: _Axes, prefix: str) -> int:",
+        new="turns: list, axes: _Axes, prefix: str, mirror_with_boxes=mirror_with_boxes) -> int:",
         tests=("tests/test_bench_hooks.py::test_traced_augment_records_each_kernel",),
     ),
     Mutant(
@@ -454,6 +455,46 @@ MUTANTS = (
         old='if "_" in line or not line.isascii():',
         new="if not line.isascii():",
         tests=("tests/test_io.py::test_annotation_python_only_number_forms_rejected",),
+    ),
+    Mutant(
+        id="round-without-half",
+        path=AUGMENT,
+        old="    x += 0.5\n    np.floor(x, out=x)\n",
+        new="    np.floor(x, out=x)\n",
+        tests=(f"{KERNELS_MATCH_REFERENCE}::test_contrast_byte_sweep",),
+    ),
+    Mutant(
+        id="contrast-clamped-below-255",
+        path=AUGMENT,
+        old="np.clip(band, -0.5, 255.0, out=band)",
+        new="np.clip(band, -0.5, 254.0, out=band)",
+        tests=(f"{KERNELS_MATCH_REFERENCE}::test_contrast_byte_sweep",),
+    ),
+    Mutant(
+        id="resampler-stores-channels-reversed",
+        path=AUGMENT,
+        old="_round_into(out[r0:r1, c0:c1, c], acc[c])",
+        new="_round_into(out[r0:r1, c0:c1, c], acc[2 - c])",
+        tests=(f"{KERNELS_MATCH_REFERENCE}::test_rotation_full_size",),
+    ),
+    Mutant(
+        id="provenance-written-outside-the-group",
+        path=AUGMENT,
+        old="        for path, pairs in ((manifest_out, entries), (provenance_out, provenance)):\n"
+            "            write_manifest(path, pairs)\n"
+            "            done.append(path)\n",
+        new="        write_manifest(manifest_out, entries)\n"
+            "        done.append(manifest_out)\n"
+            "    write_manifest(provenance_out, provenance)\n",
+        tests=("tests/test_cli.py::test_augment_failing_provenance_replace_leaves_the_group",),
+    ),
+    Mutant(
+        id="annotation-check-after-strip",
+        path=IO,
+        old="yield lineno, line\n",
+        new="yield lineno, line.strip()\n",
+        tests=("tests/test_io.py::test_annotation_python_only_number_forms_rejected",
+               "tests/test_cli.py::test_python_only_annotation_numbers_exit_code"),
     ),
 )
 
